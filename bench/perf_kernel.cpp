@@ -1,29 +1,35 @@
 // P1: the recorded perf baseline for the scan-free protocol hot path.
 //
 // Standalone harness (no external benchmark framework): sweeps the
-// per-interval cluster step across cluster sizes with the regime index
-// enabled and disabled (8 warmup intervals past the placement transient,
-// then the median of individually timed intervals), times the sharded
-// fabric (10 x 100 anchor, 100 x 1000 = 1e5-server scale point) and
-// smoke-checks its thread-count determinism, measures steady-state
-// event-queue throughput with a global allocation counter, and emits the
-// results as BENCH_perf.json (schema "eclb-perf-2").  With --check <reference.json> it compares the
-// measured indexed-over-legacy speedups against the checked-in reference
-// and exits non-zero on a >2x regression, gates the SoA data plane's
-// bytes-per-server footprint at 1.5x the recorded value, the fabric
-// overhead ratio at half the recorded figure and fabric determinism hard --
-// the CI perf smoke gate.
+// per-interval cluster step across cluster sizes (8 warmup intervals past
+// the placement transient, then the median of individually timed
+// intervals); at each flat size answers one fixed seeded batch of placement
+// queries with both the regime index and the reference scans
+// (policy::find_tiered_target, policy::find_below_center_target,
+// Leader::pick_wake_candidate) -- any differing answer is a hard failure,
+// the scan/index time ratio is the search speedup; times a partitioned run
+// (split at the first round, heal at the last) against the fault-free run
+// of the same cluster; times the sharded fabric (10 x 100 anchor, 100 x 1000
+// = 1e5-server scale point) and smoke-checks its thread-count determinism;
+// measures steady-state event-queue throughput with a global allocation
+// counter; and emits the results as BENCH_perf.json (schema
+// "eclb-perf-3").  With --check <reference.json> it gates the measured
+// search speedups at half the recorded reference, the partition factor at
+// 1.25x the recorded value, the SoA data plane's bytes-per-server footprint
+// at 1.5x the recorded value, the fabric overhead ratio at half the
+// recorded figure, and search agreement and fabric determinism hard -- the
+// CI perf smoke gate.
 //
 // Usage:
 //   perf_kernel [--ci] [--tiny] [--full] [--phases] [--out BENCH_perf.json]
 //               [--check ref.json]
-//     --ci     small sizes only (100, 1000 flat + 10 x 100 fabric): fast
-//              enough for every CI run.
+//     --ci     small sizes only (100, 1000 flat, the 1e4 partition factor
+//              + 10 x 100 fabric): fast enough for every CI run.
 //     --tiny   smallest possible sweep (100 flat + 10 x 10 fabric, short
-//              queue/request cycles): a seconds-long smoke of every code
-//              path, for the CI perf-smoke job.
-//     --full   adds the legacy path at 100000 servers and the 1e6-server
-//              fabric (minutes, local only).
+//              queue/request cycles, a 1000-server partition factor): a
+//              seconds-long smoke of every code path, for the CI
+//              perf-smoke job.
+//     --full   adds the 1e6-server fabric (minutes, local only).
 //     --phases breaks the coalesced notification pipeline's interval down
 //              into classify / diff / refile / protocol wall-clock at the
 //              largest flat size of the run (emitted as pipeline_phases).
@@ -41,10 +47,15 @@
 
 #include "cluster/cluster.h"
 #include "cluster/fabric.h"
+#include "cluster/index/regime_index.h"
+#include "cluster/leader.h"
 #include "common/flags.h"
 #include "common/sysinfo.h"
 #include "experiment/request_driver.h"
 #include "experiment/scenario.h"
+#include "fault/fault_plan.h"
+#include "fault/injector.h"
+#include "policy/placement.h"
 #include "sim/event_queue.h"
 #include "workload/engine/engine.h"
 
@@ -88,7 +99,6 @@ double seconds_since(Clock::time_point start) {
 
 struct StepSample {
   std::size_t servers{0};
-  bool indexed{false};
   std::size_t intervals{0};
   double ms_per_interval{0.0};
   double bytes_per_server{0.0};
@@ -97,19 +107,17 @@ struct StepSample {
 /// Intervals to time per size, derived from a fixed work budget of
 /// ~50k server-intervals per sample rather than a hand-tuned table: the
 /// counts scale automatically as sizes are added and as the kernel gets
-/// faster, instead of drifting in BENCH_perf.json.  Floor of 3 keeps the
-/// legacy path at large N tractable; cap of 200 bounds tiny-cluster runs.
+/// faster, instead of drifting in BENCH_perf.json.  Floor of 5 keeps large
+/// N statistically usable; cap of 200 bounds tiny-cluster runs.
 std::size_t intervals_for(std::size_t servers) {
   constexpr std::size_t kServerIntervalBudget = 50000;
   const std::size_t k = kServerIntervalBudget / (servers == 0 ? 1 : servers);
   return std::clamp<std::size_t>(k, 5, 200);
 }
 
-StepSample time_cluster_step(std::size_t servers, bool indexed) {
-  auto cfg = experiment::paper_cluster_config(
-      servers, experiment::AverageLoad::kLow30, 42);
-  cfg.use_regime_index = indexed;
-  cluster::Cluster c(cfg);
+StepSample time_cluster_step(std::size_t servers) {
+  cluster::Cluster c(experiment::paper_cluster_config(
+      servers, experiment::AverageLoad::kLow30, 42));
   // Warmup: the opening intervals are a placement transient (the initial
   // sleep wave plus consolidation churn, roughly 1.5-2x the sustained cost);
   // run past it so the figure reports steady-state throughput.
@@ -131,11 +139,146 @@ StepSample time_cluster_step(std::size_t servers, bool indexed) {
                             : 0.5 * (laps[k / 2 - 1] + laps[k / 2]);
   StepSample s;
   s.servers = servers;
-  s.indexed = indexed;
   s.intervals = k;
   s.ms_per_interval = 1e3 * median;
   s.bytes_per_server = c.memory_stats().bytes_per_server;
   return s;
+}
+
+// --- placement search: index vs reference scans ---------------------------
+
+struct SearchSample {
+  std::size_t servers{0};
+  std::size_t queries{0};
+  std::size_t mismatches{0};  ///< Index answers differing from the scan.
+  double index_us{0.0};       ///< Per query.
+  double scan_us{0.0};        ///< Per query.
+};
+
+/// One placement query of the fixed batch: a tiered search (kind 0-2 =
+/// tier), a below-center search (3) or a wake pick (4).
+struct Query {
+  int kind{0};
+  double demand{0.0};
+  common::ServerId exclude{};
+};
+
+/// After the usual warm-up, answers one fixed seeded batch of placement
+/// queries twice on the same quiescent cluster: through the regime index
+/// and through the reference scans it replaced.  The batch is sized to a
+/// fixed scan budget (~2e7 server visits), so large sizes stay quick.
+SearchSample time_searches(std::size_t servers) {
+  cluster::Cluster c(experiment::paper_cluster_config(
+      servers, experiment::AverageLoad::kLow30, 42));
+  constexpr std::size_t kWarmupIntervals = 8;
+  for (std::size_t i = 0; i < kWarmupIntervals; ++i) c.step();
+  const std::size_t k =
+      std::clamp<std::size_t>(20000000 / servers, 100, 2000);
+  common::Rng rng(7);
+  std::vector<Query> batch(k);
+  for (auto& q : batch) {
+    q.kind = static_cast<int>(rng.index(5));
+    q.demand = rng.uniform(0.01, 0.3);
+    q.exclude = common::ServerId{rng.index(servers)};
+  }
+  const auto& idx = c.regime_index();
+  (void)idx.total_vms();  // flush outside the timed loop
+  const auto tier = [](const Query& q) {
+    return static_cast<policy::PlacementTier>(q.kind);
+  };
+  std::vector<std::optional<common::ServerId>> by_index(k);
+  auto start = Clock::now();
+  for (std::size_t i = 0; i < k; ++i) {
+    const Query& q = batch[i];
+    if (q.kind < 3) {
+      by_index[i] = idx.find_tiered_target(q.demand, q.exclude, tier(q), 0);
+    } else if (q.kind == 3) {
+      by_index[i] = idx.find_below_center_target(q.demand, q.exclude, 0);
+    } else {
+      by_index[i] = idx.pick_wake_candidate(0);
+    }
+  }
+  const double index_s = seconds_since(start);
+  const auto fleet = c.servers();
+  const auto now = c.now();
+  const cluster::Leader leader;
+  std::vector<std::optional<common::ServerId>> by_scan(k);
+  start = Clock::now();
+  for (std::size_t i = 0; i < k; ++i) {
+    const Query& q = batch[i];
+    if (q.kind < 3) {
+      by_scan[i] = policy::find_tiered_target(fleet, now, q.demand, q.exclude,
+                                              tier(q));
+    } else if (q.kind == 3) {
+      by_scan[i] =
+          policy::find_below_center_target(fleet, now, q.demand, q.exclude);
+    } else {
+      by_scan[i] = leader.pick_wake_candidate(fleet, now);
+    }
+  }
+  const double scan_s = seconds_since(start);
+  SearchSample s;
+  s.servers = servers;
+  s.queries = k;
+  for (std::size_t i = 0; i < k; ++i) {
+    s.mismatches += static_cast<std::size_t>(by_index[i] != by_scan[i]);
+  }
+  s.index_us = 1e6 * index_s / static_cast<double>(k);
+  s.scan_us = 1e6 * scan_s / static_cast<double>(k);
+  return s;
+}
+
+// --- partition factor ---------------------------------------------------------
+
+struct PartitionSample {
+  std::size_t servers{0};
+  std::size_t intervals{0};
+  double fault_free_s{0.0};   ///< Median total wall of the window.
+  double partitioned_s{0.0};  ///< Same window, split in half.
+  [[nodiscard]] double factor() const {
+    return fault_free_s > 0.0 ? partitioned_s / fault_free_s : 0.0;
+  }
+};
+
+/// Total wall time of a 30-interval window in which the cluster splits in
+/// half at the first round boundary and heals before the last round (the
+/// reconciliation runs inside the window), against the same window without
+/// faults.  The total -- not a per-interval percentile -- is what exposes an
+/// onset or heal cliff.  Median of five runs each.
+PartitionSample time_partition(std::size_t servers) {
+  constexpr std::size_t kIntervals = 30;
+  constexpr int kRuns = 5;
+  const auto cfg = experiment::paper_cluster_config(
+      servers, experiment::AverageLoad::kLow30, 42);
+  std::vector<std::vector<common::ServerId>> halves(2);
+  for (std::size_t i = 0; i < servers; ++i) {
+    halves[i < servers / 2 ? 0 : 1].push_back(common::ServerId{i});
+  }
+  fault::FaultPlan plan;
+  const double tau = cfg.reallocation_interval.value;
+  plan.partition(common::Seconds{tau},
+                 halves, common::Seconds{tau * (kIntervals - 1)});
+  const auto window = [&](bool split) {
+    cluster::Cluster c(cfg);
+    std::optional<fault::FaultInjector> injector;
+    if (split) injector.emplace(c, plan);
+    const auto start = Clock::now();
+    for (std::size_t i = 0; i < kIntervals; ++i) c.step();
+    return seconds_since(start);
+  };
+  std::vector<double> free_laps, split_laps;
+  for (int r = 0; r < kRuns; ++r) {
+    free_laps.push_back(window(false));
+    split_laps.push_back(window(true));
+  }
+  std::sort(free_laps.begin(), free_laps.end());
+  std::sort(split_laps.begin(), split_laps.end());
+  PartitionSample p;
+  p.servers = servers;
+  p.intervals = kIntervals;
+  p.fault_free_s = free_laps[kRuns / 2];
+  p.partitioned_s = split_laps[kRuns / 2];
+  return p;
 }
 
 // --- fabric step sweep ------------------------------------------------------
@@ -397,13 +540,13 @@ QueueSample time_event_queue(std::size_t n) {
 std::optional<double> bytes_per_server_1000(
     const std::vector<StepSample>& steps) {
   for (const auto& s : steps) {
-    if (s.indexed && s.servers == 1000) return s.bytes_per_server;
+    if (s.servers == 1000) return s.bytes_per_server;
   }
   return std::nullopt;
 }
 
 /// Fabric-over-flat ratio at the canonical 1000-server size: the flat
-/// indexed 1000-server step time over the 10 x 100 fabric step time (same
+/// 1000-server step time over the 10 x 100 fabric step time (same
 /// total servers, 1 worker thread).  Present in both --ci and full runs and
 /// gated as a ratio so the figure survives CI runners of any speed; a
 /// collapse toward zero means the fabric layer's per-interval overhead
@@ -414,9 +557,7 @@ std::optional<double> fabric_efficiency_1000(
   for (const auto& f : fabrics) {
     if (f.shards != 10 || f.servers_per_shard != 100 || f.threads != 1) continue;
     for (const auto& s : steps) {
-      if (s.indexed && s.servers == 1000) {
-        return s.ms_per_interval / f.ms_per_interval;
-      }
+      if (s.servers == 1000) return s.ms_per_interval / f.ms_per_interval;
     }
   }
   return std::nullopt;
@@ -441,6 +582,8 @@ std::optional<double> fabric_scale_1e6(
 }
 
 std::string json_report(const std::vector<StepSample>& steps,
+                        const std::vector<SearchSample>& searches,
+                        const std::vector<PartitionSample>& partitions,
                         const std::vector<FabricSample>& fabrics,
                         const std::vector<PhaseSample>& phases,
                         bool determinism_ok, const QueueSample& queue,
@@ -449,7 +592,7 @@ std::string json_report(const std::vector<StepSample>& steps,
   const common::SysInfo sys = common::query_sysinfo();
   std::ostringstream out;
   out.precision(6);
-  out << "{\n  \"schema\": \"eclb-perf-2\",\n  \"generated_by\": \"perf_kernel\",\n";
+  out << "{\n  \"schema\": \"eclb-perf-3\",\n  \"generated_by\": \"perf_kernel\",\n";
   out << "  \"machine\": {\"os\": \"" << sys.os << "\", \"release\": \""
       << sys.release << "\", \"machine\": \"" << sys.machine
       << "\", \"compiler\": \"" << sys.compiler << "\", \"cpus\": " << sys.cpus
@@ -457,11 +600,26 @@ std::string json_report(const std::vector<StepSample>& steps,
   out << "  \"cluster_step\": [\n";
   for (std::size_t i = 0; i < steps.size(); ++i) {
     const auto& s = steps[i];
-    out << "    {\"servers\": " << s.servers << ", \"mode\": \""
-        << (s.indexed ? "indexed" : "legacy") << "\", \"intervals\": "
+    out << "    {\"servers\": " << s.servers << ", \"intervals\": "
         << s.intervals << ", \"ms_per_interval\": " << s.ms_per_interval
         << ", \"bytes_per_server\": " << s.bytes_per_server << "}"
         << (i + 1 < steps.size() ? "," : "") << "\n";
+  }
+  out << "  ],\n  \"search\": [\n";
+  for (std::size_t i = 0; i < searches.size(); ++i) {
+    const auto& q = searches[i];
+    out << "    {\"servers\": " << q.servers << ", \"queries\": " << q.queries
+        << ", \"index_us\": " << q.index_us << ", \"scan_us\": " << q.scan_us
+        << ", \"mismatches\": " << q.mismatches << "}"
+        << (i + 1 < searches.size() ? "," : "") << "\n";
+  }
+  out << "  ],\n  \"partition\": [\n";
+  for (std::size_t i = 0; i < partitions.size(); ++i) {
+    const auto& p = partitions[i];
+    out << "    {\"servers\": " << p.servers << ", \"intervals\": "
+        << p.intervals << ", \"fault_free_s\": " << p.fault_free_s
+        << ", \"partitioned_s\": " << p.partitioned_s << "}"
+        << (i + 1 < partitions.size() ? "," : "") << "\n";
   }
   out << "  ],\n  \"fabric_step\": [\n";
   for (std::size_t i = 0; i < fabrics.size(); ++i) {
@@ -502,16 +660,15 @@ std::string json_report(const std::vector<StepSample>& steps,
   if (const auto bps = bytes_per_server_1000(steps); bps.has_value()) {
     out << "  \"bytes_per_server_1000\": " << *bps << ",\n";
   }
-  out << "  \"step_speedup\": {";
-  bool first = true;
-  for (const auto& a : steps) {
-    if (!a.indexed) continue;
-    for (const auto& b : steps) {
-      if (b.indexed || b.servers != a.servers) continue;
-      out << (first ? "" : ", ") << "\"" << a.servers
-          << "\": " << b.ms_per_interval / a.ms_per_interval;
-      first = false;
-    }
+  out << "  \"search_speedup\": {";
+  for (std::size_t i = 0; i < searches.size(); ++i) {
+    out << (i == 0 ? "" : ", ") << "\"" << searches[i].servers
+        << "\": " << searches[i].scan_us / searches[i].index_us;
+  }
+  out << "},\n  \"partition_factor\": {";
+  for (std::size_t i = 0; i < partitions.size(); ++i) {
+    out << (i == 0 ? "" : ", ") << "\"" << partitions[i].servers
+        << "\": " << partitions[i].factor();
   }
   out << "},\n  \"event_queue\": {\"events\": " << queue.events
       << ", \"ns_per_event\": " << queue.ns_per_event
@@ -524,20 +681,37 @@ std::string json_report(const std::vector<StepSample>& steps,
   return out.str();
 }
 
-/// Pulls `"key": <number>` pairs out of the flat reference JSON.  The file
-/// is generated by this tool, so a line-oriented scan is sufficient -- no
-/// JSON library in the container.
+/// Pulls `"key": <number>` pairs out of the flat reference JSON, searching
+/// from `from` on.  The file is generated by this tool, so a plain text scan
+/// is sufficient -- no JSON library in the container.
 std::optional<double> json_number(const std::string& text,
-                                  const std::string& key) {
-  const auto at = text.find("\"" + key + "\"");
+                                  const std::string& key,
+                                  std::size_t from = 0) {
+  const auto at = text.find("\"" + key + "\"", from);
   if (at == std::string::npos) return std::nullopt;
   const auto colon = text.find(':', at);
   if (colon == std::string::npos) return std::nullopt;
   return std::strtod(text.c_str() + colon + 1, nullptr);
 }
 
+/// `"key": <number>` inside the `"section": { ... }` object of the
+/// reference (per-size rows such as search_speedup share their keys).
+std::optional<double> json_section_number(const std::string& text,
+                                          const std::string& section,
+                                          const std::string& key) {
+  const auto at = text.find("\"" + section + "\"");
+  if (at == std::string::npos) return std::nullopt;
+  const auto key_at = text.find("\"" + key + "\"", at);
+  if (key_at == std::string::npos || key_at > text.find('}', at)) {
+    return std::nullopt;
+  }
+  return json_number(text, key, key_at);
+}
+
 int check_against_reference(const std::string& ref_path,
                             const std::vector<StepSample>& steps,
+                            const std::vector<SearchSample>& searches,
+                            const std::vector<PartitionSample>& partitions,
                             const std::vector<FabricSample>& fabrics,
                             bool determinism_ok, const QueueSample& queue,
                             const RequestSample& requests,
@@ -552,26 +726,55 @@ int check_against_reference(const std::string& ref_path,
   const std::string ref = buf.str();
   int failures = 0;
 
-  for (const auto& a : steps) {
-    if (!a.indexed) continue;
-    for (const auto& b : steps) {
-      if (b.indexed || b.servers != a.servers) continue;
-      const double measured = b.ms_per_interval / a.ms_per_interval;
-      const auto expect = json_number(ref, std::to_string(a.servers));
-      if (!expect.has_value()) continue;  // size not in the reference
-      // Gate at half the recorded speedup: generous enough for CI-runner
-      // noise, tight enough to catch the index silently falling back to
-      // scans (which would drop the ratio to ~1).
-      if (measured < *expect / 2.0) {
-        std::fprintf(stderr,
-                     "FAIL: step speedup at %zu servers regressed: "
-                     "measured %.2fx, reference %.2fx (gate %.2fx)\n",
-                     a.servers, measured, *expect, *expect / 2.0);
-        ++failures;
-      } else {
-        std::printf("ok: step speedup at %zu servers %.2fx (reference %.2fx)\n",
-                    a.servers, measured, *expect);
-      }
+  for (const auto& q : searches) {
+    // Agreement is the index's contract: one differing answer is a hard
+    // failure, whatever the timing.
+    if (q.mismatches != 0) {
+      std::fprintf(stderr,
+                   "FAIL: %zu of %zu placement queries at %zu servers differ "
+                   "between the index and the reference scans\n",
+                   q.mismatches, q.queries, q.servers);
+      ++failures;
+      continue;
+    }
+    const double measured = q.scan_us / q.index_us;
+    const auto expect = json_section_number(ref, "search_speedup",
+                                            std::to_string(q.servers));
+    if (!expect.has_value()) continue;  // size not in the reference
+    // Gate at half the recorded speedup: generous enough for CI-runner
+    // noise, tight enough to catch a search silently degrading into a scan
+    // (which would drop the ratio to ~1).
+    if (measured < *expect / 2.0) {
+      std::fprintf(stderr,
+                   "FAIL: search speedup at %zu servers regressed: "
+                   "measured %.2fx, reference %.2fx (gate %.2fx)\n",
+                   q.servers, measured, *expect, *expect / 2.0);
+      ++failures;
+    } else {
+      std::printf("ok: search speedup at %zu servers %.2fx (reference %.2fx)\n",
+                  q.servers, measured, *expect);
+    }
+  }
+
+  // Partition gate: a split may cost a constant factor over the fault-free
+  // window, never a change of complexity class.  Both windows run on the
+  // same host back to back, so host speed cancels out of the ratio and the
+  // gate can sit closer to the reference than the throughput gates: 1.25x.
+  for (const auto& p : partitions) {
+    const auto expect = json_section_number(ref, "partition_factor",
+                                            std::to_string(p.servers));
+    if (!expect.has_value()) continue;
+    const double gate = *expect * 1.25;
+    if (p.factor() > gate) {
+      std::fprintf(stderr,
+                   "FAIL: partition factor at %zu servers regressed: "
+                   "measured %.2fx, reference %.2fx (gate %.2fx)\n",
+                   p.servers, p.factor(), *expect, gate);
+      ++failures;
+    } else {
+      std::printf("ok: partition factor at %zu servers %.2fx (reference "
+                  "%.2fx)\n",
+                  p.servers, p.factor(), *expect);
     }
   }
 
@@ -717,27 +920,45 @@ int main(int argc, char** argv) {
   if (!ci) sizes.push_back(10000);
 
   std::vector<StepSample> steps;
+  std::vector<SearchSample> searches;
   for (const auto n : sizes) {
-    for (const bool indexed : {true, false}) {
-      std::printf("cluster step: %zu servers, %s...\n", n,
-                  indexed ? "indexed" : "legacy");
-      std::fflush(stdout);
-      steps.push_back(time_cluster_step(n, indexed));
-      std::printf("  %.3f ms/interval\n", steps.back().ms_per_interval);
-    }
+    std::printf("cluster step: %zu servers...\n", n);
+    std::fflush(stdout);
+    steps.push_back(time_cluster_step(n));
+    std::printf("  %.3f ms/interval\n", steps.back().ms_per_interval);
+    std::printf("placement search: %zu servers, index vs scans...\n", n);
+    std::fflush(stdout);
+    searches.push_back(time_searches(n));
+    const auto& q = searches.back();
+    std::printf("  %.2f us index, %.2f us scan per query (%zu queries, %zu "
+                "mismatches)\n",
+                q.index_us, q.scan_us, q.queries, q.mismatches);
   }
   if (!ci) {
     // The whole point of the index: 1e5 servers is interactive.
-    std::printf("cluster step: 100000 servers, indexed...\n");
+    std::printf("cluster step: 100000 servers...\n");
     std::fflush(stdout);
-    steps.push_back(time_cluster_step(100000, true));
+    steps.push_back(time_cluster_step(100000));
     std::printf("  %.3f ms/interval\n", steps.back().ms_per_interval);
-    if (full) {
-      std::printf("cluster step: 100000 servers, legacy (slow)...\n");
-      std::fflush(stdout);
-      steps.push_back(time_cluster_step(100000, false));
-      std::printf("  %.3f ms/interval\n", steps.back().ms_per_interval);
-    }
+    std::printf("placement search: 100000 servers, index vs scans...\n");
+    std::fflush(stdout);
+    searches.push_back(time_searches(100000));
+    std::printf("  %.2f us index, %.2f us scan per query (%zu mismatches)\n",
+                searches.back().index_us, searches.back().scan_us,
+                searches.back().mismatches);
+  }
+
+  // Partition factor: 1e4 in every CI run, 1e5 locally (tiny: 1000).
+  std::vector<std::size_t> split_sizes{tiny ? std::size_t{1000} : 10000};
+  if (!ci) split_sizes.push_back(100000);
+  std::vector<PartitionSample> partitions;
+  for (const auto n : split_sizes) {
+    std::printf("partition factor: %zu servers, split vs fault-free...\n", n);
+    std::fflush(stdout);
+    partitions.push_back(time_partition(n));
+    const auto& p = partitions.back();
+    std::printf("  %.3f s split / %.3f s fault-free = %.2fx\n",
+                p.partitioned_s, p.fault_free_s, p.factor());
   }
 
   // Fabric sweep: 10 x 100 at 1 thread anchors the efficiency gate in every
@@ -803,7 +1024,8 @@ int main(int argc, char** argv) {
   std::printf("  %zu flaps raw, %zu damped\n", hysteresis.flaps_raw,
               hysteresis.flaps_damped);
 
-  const std::string report = json_report(steps, fabrics, phases,
+  const std::string report = json_report(steps, searches, partitions,
+                                         fabrics, phases,
                                          determinism_ok, queue, requests,
                                          hysteresis);
   std::ofstream out(out_path);
@@ -812,9 +1034,12 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", out_path.c_str());
 
   if (flags.has("check")) {
-    return check_against_reference(flags.get("check"), steps, fabrics,
-                                   determinism_ok, queue, requests,
-                                   hysteresis);
+    return check_against_reference(flags.get("check"), steps, searches,
+                                   partitions, fabrics, determinism_ok, queue,
+                                   requests, hysteresis);
   }
-  return determinism_ok ? 0 : 1;
+  const bool searches_agree =
+      std::all_of(searches.begin(), searches.end(),
+                  [](const SearchSample& q) { return q.mismatches == 0; });
+  return determinism_ok && searches_agree ? 0 : 1;
 }

@@ -118,7 +118,9 @@ int main(int argc, char** argv) {
                common::TextTable::num(static_cast<long long>(violations)),
                common::TextTable::num(static_cast<long long>(deep)),
                common::TextTable::num(
-                   static_cast<double>(in_cluster) / intervals(), 1),
+                   static_cast<double>(in_cluster) /
+                       static_cast<double>(intervals()),
+                   1),
                common::TextTable::num(static_cast<long long>(peak_per_leader))});
   }
   table.print(std::cout);

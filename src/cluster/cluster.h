@@ -145,14 +145,13 @@ class Cluster {
   [[nodiscard]] ClusterMemoryStats memory_stats() const;
 
   /// Cumulative counters of the index's coalesced notification pipeline
-  /// (src/cluster/index/pipeline_stats.h); all-zero when the index is off
-  /// or running eagerly.  Kept out of IntervalReport on purpose: the report
-  /// digest is part of the eager-vs-coalesced bit-identity contract, and
-  /// these figures differ between the modes by design.
+  /// (src/cluster/index/pipeline_stats.h).  Kept out of IntervalReport on
+  /// purpose: they describe how the index batched its work, not what the
+  /// protocol decided, so the report digest stays a pure behaviour record.
   [[nodiscard]] index::PipelineStats pipeline_stats() const;
 
   /// Enables wall-clock timing of the index's flush phases (classify /
-  /// diff / refile buckets of pipeline_stats()).  No-op without an index.
+  /// diff / refile buckets of pipeline_stats()).
   void set_pipeline_phase_timing(bool on);
 
   // --- driving -------------------------------------------------------------
@@ -241,14 +240,17 @@ class Cluster {
   /// protocol; every other side elects a sub-leader at a bumped
   /// *provisional* epoch and runs degraded (vertical/local scaling only, no
   /// cross-side migration or wake).  When configured, the quorum
-  /// shadow-restarts applications stranded on minority servers.  Returns the
+  /// shadow-restarts applications stranded on minority servers.  The regime
+  /// index splits its search axes per side, so every placement search stays
+  /// inside the side it serves.  Returns the
   /// quorum group, or -1 when the call is a no-op (already partitioned, or a
   /// reconciliation is still pending).
   std::int32_t begin_partition(const std::vector<std::int32_t>& group_of);
   /// Marks the fabric whole again.  Membership stays split until the next
   /// protocol round, whose anti-entropy reconciliation pass merges the
-  /// views, resolves duplicated/orphaned placements and rebuilds the regime
-  /// index; the gap is the heal-convergence window the recorder reports.
+  /// views, resolves duplicated/orphaned placements and re-joins the regime
+  /// index's per-side axes; the gap is the heal-convergence window the
+  /// recorder reports.
   void heal_partition();
 
   /// The membership view: sides, side leaders, epochs.
@@ -295,10 +297,9 @@ class Cluster {
   [[nodiscard]] const vm::DemandGrowthSpec* growth_of(common::VmId id) const;
   /// The RNG (forked from the master seed).
   [[nodiscard]] common::Rng& rng() { return rng_; }
-  /// The incremental regime index; nullptr when config().use_regime_index is
-  /// false (legacy scan mode).
-  [[nodiscard]] const index::RegimeIndex* regime_index() const {
-    return index_.get();
+  /// The incremental regime index answering every placement query.
+  [[nodiscard]] const index::RegimeIndex& regime_index() const {
+    return *index_;
   }
 
  private:
@@ -366,7 +367,8 @@ class Cluster {
   /// The anti-entropy pass after a heal: merges the membership views under
   /// the surviving highest-epoch leader at a fresh epoch, retires duplicate
   /// shadow placements (original survived) or adopts them (original lost),
-  /// rebuilds the regime index and emits the convergence metrics.  Defined
+  /// re-joins the regime index's side axes and emits the convergence
+  /// metrics.  Defined
   /// in protocol/reconcile_partitions.cpp beside the action that drives it.
   void reconcile_partitions();
   /// Drops the ledger entry tracking `vm` as a shadow; true when it was one.
@@ -374,12 +376,9 @@ class Cluster {
   /// Closes one outstanding orphan of `origin`'s crash episode (MTTR sample
   /// when it was the last).
   void close_crash_outstanding(common::ServerId origin);
-  /// The server currently hosting `vm`; nullptr when none does.
-  [[nodiscard]] const server::Server* find_vm_host(common::VmId vm) const;
 
   ClusterConfig config_;
   common::Rng rng_;
-  Leader leader_;
   OverflowHandler overflow_handler_;
   /// The shared SoA state table.  Declared before servers_ (servers write
   /// their rows through it during construction) and therefore destroyed

@@ -14,7 +14,7 @@ namespace eclb::cluster::index {
 namespace {
 /// The protocol's comparison epsilon (matches placement and the actions).
 constexpr double kEps = 1e-9;
-/// Safety margin between the approximate key distance and the exact legacy
+/// Safety margin between the approximate key distance and the exact scan
 /// score.  The two differ only by rounding error of sums of values <= ~2
 /// (a handful of ulps, ~1e-15); 1e-9 is nine orders of magnitude above that
 /// and still far below any load difference the simulation produces.
@@ -40,9 +40,24 @@ void RegimeIndex::rebuild() {
   // A rebuild re-derives everything from live server state, so pending
   // dirty marks are subsumed; reset the pipeline's per-phase state.
   dirty_.resize(servers_.size());
-  for (auto& r : erase_runs_) r.clear();
-  for (auto& r : insert_runs_) r.clear();
-  for (auto& b : by_key_) b.configure(servers_.size());
+  // One set of key axes per side, each sized for its side's population (a
+  // whole fleet is one side holding every server).
+  std::vector<std::size_t> members(side_count_, 0);
+  if (side_of_.empty()) {
+    members[0] = servers_.size();
+  } else {
+    for (const std::int32_t g : side_of_) ++members[static_cast<std::size_t>(g)];
+  }
+  by_key_.clear();
+  pool_.release();  // the key axes were the pool's only tenants
+  by_key_.reserve(side_count_ * energy::kRegimeCount);
+  for (const std::size_t population : members) {
+    for (std::size_t r = 0; r < energy::kRegimeCount; ++r) {
+      by_key_.emplace_back(&pool_).configure(population);
+    }
+  }
+  erase_runs_.assign(by_key_.size(), {});
+  insert_runs_.assign(by_key_.size(), {});
   for (auto& b : by_id_) b.resize(servers_.size());
   for (auto& b : sleepers_) b.resize(servers_.size());
   above_center_.resize(servers_.size());
@@ -68,12 +83,26 @@ void RegimeIndex::rebuild() {
   }
 }
 
+void RegimeIndex::set_sides(std::span<const std::int32_t> groups,
+                            std::size_t count) {
+  ECLB_ASSERT(count >= 1, "set_sides: need at least one side");
+  side_count_ = count;
+  if (count == 1) {
+    std::vector<std::int32_t>().swap(side_of_);  // whole fleet: no map
+  } else {
+    ECLB_ASSERT(groups.size() == servers_.size(),
+                "set_sides: group map size mismatch");
+    side_of_.assign(groups.begin(), groups.end());
+    for (const std::int32_t g : side_of_) {
+      ECLB_ASSERT(g >= 0 && static_cast<std::size_t>(g) < count,
+                  "set_sides: group index out of range");
+    }
+  }
+  rebuild();
+}
+
 void RegimeIndex::server_state_changed(const server::Server& s) {
   const std::size_t i = s.id().index();
-  if (!coalesce_) {
-    update_slot(i);
-    return;
-  }
   ECLB_ASSERT(i < slots_.size(), "RegimeIndex: server index out of range");
   // The no-op gate: a notification whose packed row still matches the
   // mirror cannot change any index structure (Slot is a pure function of
@@ -86,8 +115,7 @@ void RegimeIndex::server_state_changed(const server::Server& s) {
 RegimeIndex::Slot RegimeIndex::classify(const server::Server& s) const {
   // Read the server's packed state-table record: sync_derived rewrites it
   // from the scalar columns at every notification point, so between
-  // mutations it matches what the legacy per-accessor classification
-  // computed -- awake in particular is time-independent (see
+  // mutations it matches what a per-accessor classification computes -- awake in particular is time-independent (see
   // Server::transition_pending and ServerStateTable::awake).  One aligned
   // 32-byte load replaces ten scattered column reads on the refile path.
   return slot_from_row(s.state_table().index_row(s.slot()));
@@ -122,7 +150,7 @@ RegimeIndex::Slot RegimeIndex::slot_from_row(
 
 void RegimeIndex::file_slot(std::uint32_t id, const Slot& slot) {
   if (slot.regime >= 0) {
-    by_key_[slot.regime].insert({slot.key, id});
+    by_key_[axis_of(id, slot.regime)].insert({slot.key, id});
     by_id_[slot.regime].insert(id);
   }
   if (slot.sleeper >= 0) sleepers_[slot.sleeper].insert(id);
@@ -136,7 +164,7 @@ void RegimeIndex::file_slot(std::uint32_t id, const Slot& slot) {
 
 void RegimeIndex::unfile_slot(std::uint32_t id, const Slot& slot) {
   if (slot.regime >= 0) {
-    by_key_[slot.regime].erase({slot.key, id});
+    by_key_[axis_of(id, slot.regime)].erase({slot.key, id});
     by_id_[slot.regime].erase(id);
   }
   if (slot.sleeper >= 0) sleepers_[slot.sleeper].erase(id);
@@ -173,7 +201,8 @@ void RegimeIndex::update_slot(std::size_t i) {
   masked.vm_count = cur.vm_count;
   if (masked == cur) {
     if (fresh.regime >= 0 && fresh.key != cur.key) {
-      by_key_[fresh.regime].refile({cur.key, id}, {fresh.key, id});
+      by_key_[axis_of(id, fresh.regime)].refile({cur.key, id},
+                                                {fresh.key, id});
     }
     total_vms_ += fresh.vm_count;
     total_vms_ -= cur.vm_count;
@@ -187,7 +216,7 @@ void RegimeIndex::update_slot(std::size_t i) {
 
 void RegimeIndex::file_slot_deferred(std::uint32_t id, const Slot& slot) {
   if (slot.regime >= 0) {
-    insert_runs_[slot.regime].push_back({slot.key, id});
+    insert_runs_[axis_of(id, slot.regime)].push_back({slot.key, id});
     by_id_[slot.regime].insert(id);
   }
   if (slot.sleeper >= 0) sleepers_[slot.sleeper].insert(id);
@@ -201,7 +230,7 @@ void RegimeIndex::file_slot_deferred(std::uint32_t id, const Slot& slot) {
 
 void RegimeIndex::unfile_slot_deferred(std::uint32_t id, const Slot& slot) {
   if (slot.regime >= 0) {
-    erase_runs_[slot.regime].push_back({slot.key, id});
+    erase_runs_[axis_of(id, slot.regime)].push_back({slot.key, id});
     by_id_[slot.regime].erase(id);
   }
   if (slot.sleeper >= 0) sleepers_[slot.sleeper].erase(id);
@@ -261,7 +290,7 @@ void RegimeIndex::flush_impl() {
 
   // Phase 2 -- diff: per dirty slot, compare the fresh classification to the
   // cached one.  The fast paths mirror update_slot exactly; the only
-  // difference is that key-axis mutations land in the per-regime run lists
+  // difference is that key-axis mutations land in the per-axis run lists
   // instead of hitting the buckets immediately.
   for (std::size_t j = 0; j < dirty.size(); ++j) {
     const std::size_t i = dirty[j];
@@ -290,8 +319,9 @@ void RegimeIndex::flush_impl() {
     masked.vm_count = cur.vm_count;
     if (masked == cur) {
       if (fresh.regime >= 0 && fresh.key != cur.key) {
-        erase_runs_[fresh.regime].push_back({cur.key, id});
-        insert_runs_[fresh.regime].push_back({fresh.key, id});
+        const std::size_t a = axis_of(id, fresh.regime);
+        erase_runs_[a].push_back({cur.key, id});
+        insert_runs_[a].push_back({fresh.key, id});
       }
       total_vms_ += fresh.vm_count;
       total_vms_ -= cur.vm_count;
@@ -307,14 +337,14 @@ void RegimeIndex::flush_impl() {
   // grouped runs, one touch per affected bucket.  Sorting by (key, id)
   // groups same-bucket ops contiguously (bucket_of is monotone in the key)
   // and fixes a deterministic order regardless of diff order.
-  for (std::size_t r = 0; r < energy::kRegimeCount; ++r) {
-    auto& del = erase_runs_[r];
-    auto& add = insert_runs_[r];
+  for (std::size_t a = 0; a < by_key_.size(); ++a) {
+    auto& del = erase_runs_[a];
+    auto& add = insert_runs_[a];
     if (del.empty() && add.empty()) continue;
     std::sort(del.begin(), del.end());
     std::sort(add.begin(), add.end());
     stats_.batch_refiles += del.size() + add.size();
-    stats_.refile_runs += by_key_[r].apply_batch(del, add);
+    stats_.refile_runs += by_key_[a].apply_batch(del, add);
     del.clear();
     add.clear();
   }
@@ -328,50 +358,6 @@ void RegimeIndex::flush_impl() {
   }
 }
 
-void RegimeIndex::refresh_changed() {
-  if (servers_.empty()) return;
-  // The full-fleet pass below re-derives and refiles every changed slot, so
-  // pending dirty marks are subsumed by it.
-  dirty_.clear();
-  // One vectorized sweep re-derives every server's regime from the shared
-  // state-table columns; the per-slot compare below then refiles only the
-  // servers whose classification actually moved (the regime-delta list).
-  // Cluster fleets share one table with slot == id; a mixed fleet of
-  // standalone servers (unit tests) skips the batch pass and classifies
-  // row-by-row, which reads the identical columns.
-  const server::ServerStateTable& table = servers_.front().state_table();
-  const bool shared = table.size() == servers_.size();
-  if (shared) {
-    batch_scratch_.resize(table.size());
-    energy::classify_regimes(table.loads(), table.capacities(),
-                             table.alpha_sopt_lows(), table.alpha_opt_lows(),
-                             table.alpha_opt_highs(), table.alpha_sopt_highs(),
-                             batch_scratch_);
-  }
-  for (std::size_t i = 0; i < servers_.size(); ++i) {
-    const server::Server& srv = servers_[i];
-    const server::ServerStateTable::IndexRow& row =
-        srv.state_table().index_row(srv.slot());
-    // Refresh the row mirror unconditionally: the mirror's invariant is
-    // "slots_[i] was derived from rows_[i]", and this pass re-derives every
-    // slot from the live row whether or not it ends up refiled.
-    rows_[i] = row;
-    Slot fresh = slot_from_row(row);
-    if (shared) {
-      const server::ServerSlot slot = srv.slot();
-      ECLB_ASSERT(batch_scratch_[slot] == table.classified(slot),
-                  "refresh_changed: batch pass disagrees with classified column");
-      fresh.regime = fresh.awake ? batch_scratch_[slot]
-                                 : server::ServerStateTable::kNone;
-    }
-    if (fresh == slots_[i]) continue;
-    const auto id = static_cast<std::uint32_t>(i);
-    unfile_slot(id, slots_[i]);
-    file_slot(id, fresh);
-    slots_[i] = fresh;
-  }
-}
-
 std::size_t RegimeIndex::memory_bytes() const {
   flush();  // A mid-phase arena would under- or over-count the key axes.
   std::size_t bytes = counting_.live_bytes();
@@ -381,7 +367,7 @@ std::size_t RegimeIndex::memory_bytes() const {
   bytes += above_center_.memory_bytes() + awake_empty_.memory_bytes();
   bytes += slots_.capacity() * sizeof(Slot);
   bytes += rows_.capacity() * sizeof(server::ServerStateTable::IndexRow);
-  bytes += batch_scratch_.capacity();
+  bytes += side_of_.capacity() * sizeof(std::int32_t);
   bytes += dirty_.memory_bytes() + gather_out_.capacity();
   for (const auto& r : erase_runs_) bytes += r.capacity() * sizeof(LoadKey);
   for (const auto& r : insert_runs_) bytes += r.capacity() * sizeof(LoadKey);
@@ -399,13 +385,13 @@ energy::RegimeHistogram RegimeIndex::regime_histogram() const {
 
 template <class Admit>
 std::optional<common::ServerId> RegimeIndex::search(
-    std::span<const BucketRef> buckets, double demand, common::ServerId exclude,
-    const Admit& admit) const {
+    std::int32_t side, std::span<const BucketRef> buckets, double demand,
+    common::ServerId exclude, const Admit& admit) const {
   // Bidirectional expansion per bucket around the ideal key -demand (where
   // post-placement load would land exactly on the center): `up` walks keys
   // >= the pivot in increasing order, `down_pos` walks keys below it in
   // decreasing order.  At each step the globally closest unexamined
-  // candidate (by key distance) is rescored with the exact legacy
+  // candidate (by key distance) is rescored with the exact scan
   // expression; the search stops once every remaining candidate is provably
   // worse than the best exact score found.
   // Each cursor keeps its two frontier candidates (key and id) materialized:
@@ -427,8 +413,9 @@ std::optional<common::ServerId> RegimeIndex::search(
   std::array<Cursor, energy::kRegimeCount> cursors;
   std::size_t n_cursors = 0;
   const double pivot = -demand;
+  const std::size_t side_pos = checked_side(side);
   for (const auto& b : buckets) {
-    const auto& keys = by_key_[b.regime_idx];
+    const auto& keys = by_key_[axis(side_pos, b.regime_idx)];
     if (keys.empty()) continue;
     auto& c = cursors[n_cursors++];
     c.keys = &keys;
@@ -511,11 +498,11 @@ std::optional<common::ServerId> RegimeIndex::search(
 }
 
 std::optional<common::ServerId> RegimeIndex::find_tiered_target(
-    double demand, common::ServerId exclude,
-    policy::PlacementTier max_tier) const {
+    double demand, common::ServerId exclude, policy::PlacementTier max_tier,
+    std::int32_t side) const {
   flush();
   // Per tier, bucket membership already encodes "awake" plus the tier's
-  // regime restriction; the remaining legacy admissibility condition (the
+  // regime restriction; the remaining scan admissibility condition (the
   // post-placement threshold) and the score are evaluated exactly.  The
   // regime containment is sound because post <= alpha implies
   // served = min(load, capacity) <= alpha, so the candidate's regime is at
@@ -542,7 +529,7 @@ std::optional<common::ServerId> RegimeIndex::find_tiered_target(
     }
     for (int r = 0; r <= max_regime_idx; ++r) buckets[n++] = {r, cutoff};
     const auto found = search(
-        std::span<const BucketRef>(buckets, n), demand, exclude,
+        side, std::span<const BucketRef>(buckets, n), demand, exclude,
         [&](const server::Server& s, int /*regime_idx*/) -> std::optional<double> {
           const double post = s.load() + demand;
           const auto& th = s.thresholds();
@@ -558,14 +545,14 @@ std::optional<common::ServerId> RegimeIndex::find_tiered_target(
 }
 
 std::optional<common::ServerId> RegimeIndex::find_below_center_target(
-    double demand, common::ServerId exclude) const {
+    double demand, common::ServerId exclude, std::int32_t side) const {
   flush();
   // Admissible targets end at or below their own center, so load < center:
   // every candidate is awake in R1..R3 and its key + demand is <= rounding
   // error -- the upward cutoff is just the slop margin.
   const BucketRef buckets[3] = {{0, kSlop}, {1, kSlop}, {2, kSlop}};
   return search(
-      std::span<const BucketRef>(buckets, 3), demand, exclude,
+      side, std::span<const BucketRef>(buckets, 3), demand, exclude,
       [&](const server::Server& s, int /*regime_idx*/) -> std::optional<double> {
         const double post = s.load() + demand;
         if (post > s.thresholds().optimal_center()) return std::nullopt;
@@ -574,9 +561,9 @@ std::optional<common::ServerId> RegimeIndex::find_below_center_target(
 }
 
 std::optional<common::ServerId> RegimeIndex::find_drain_target(
-    const server::Server& donor, double demand) const {
+    const server::Server& donor, double demand, std::int32_t side) const {
   flush();
-  // Legacy conditions, re-checked exactly per candidate: strictly-uphill
+  // The drain scan's conditions, re-checked exactly per candidate: strictly-uphill
   // load, R1/R2 peer or R3 staying below center, post within the optimal
   // region (+kEps).  The R3 bucket's cutoff encodes its tighter
   // below-center bound.
@@ -585,7 +572,7 @@ std::optional<common::ServerId> RegimeIndex::find_drain_target(
                                 {1, max_opt_halfwidth_ + kEps + kSlop},
                                 {2, kEps + kSlop}};
   return search(
-      std::span<const BucketRef>(buckets, 3), demand, donor.id(),
+      side, std::span<const BucketRef>(buckets, 3), demand, donor.id(),
       [&](const server::Server& t, int regime_idx) -> std::optional<double> {
         if (t.load() <= donor_load + kEps) return std::nullopt;  // uphill only
         const double post = t.load() + demand;
@@ -598,13 +585,19 @@ std::optional<common::ServerId> RegimeIndex::find_drain_target(
       });
 }
 
-std::optional<common::ServerId> RegimeIndex::pick_wake_candidate() const {
+std::optional<common::ServerId> RegimeIndex::pick_wake_candidate(
+    std::int32_t side) const {
   flush();
-  // Legacy scan keeps the first (lowest-id) server with the shallowest
-  // settled sleep state; depth buckets in id order reproduce that directly.
+  // The scan keeps the first (lowest-id) server with the shallowest settled
+  // sleep state; depth buckets in id order reproduce that directly.  The
+  // buckets are fleet-wide, so a split side skips the other sides' sleepers
+  // -- word-scan steps, paid only by the rare wake pick while split.
+  const std::size_t want = checked_side(side);
   for (const auto& depth : sleepers_) {
-    if (const auto first = depth.first(); first.has_value()) {
-      return common::ServerId{static_cast<std::uint32_t>(*first)};
+    for (auto id = depth.first(); id.has_value(); id = depth.next_after(*id)) {
+      if (side_of_.empty() || static_cast<std::size_t>(side_of_[*id]) == want) {
+        return common::ServerId{static_cast<std::uint32_t>(*id)};
+      }
     }
   }
   return std::nullopt;
@@ -637,6 +630,7 @@ std::optional<common::ServerId> RegimeIndex::next_awake_empty(
 std::optional<std::string> RegimeIndex::self_check() const {
   flush();
   RegimeIndex fresh(servers_);
+  if (side_count_ > 1) fresh.set_sides(side_of_, side_count_);
   std::ostringstream err;
   for (std::size_t i = 0; i < servers_.size(); ++i) {
     const Slot& a = slots_[i];
@@ -647,11 +641,15 @@ std::optional<std::string> RegimeIndex::self_check() const {
       return err.str();
     }
   }
-  for (std::size_t r = 0; r < energy::kRegimeCount; ++r) {
-    if (by_key_[r] != fresh.by_key_[r]) {
-      err << "by_key[" << r << "] diverged";
+  if (by_key_.size() != fresh.by_key_.size()) return "side axes diverged";
+  for (std::size_t a = 0; a < by_key_.size(); ++a) {
+    if (by_key_[a] != fresh.by_key_[a]) {
+      err << "by_key[side " << a / energy::kRegimeCount << ", regime "
+          << a % energy::kRegimeCount << "] diverged";
       return err.str();
     }
+  }
+  for (std::size_t r = 0; r < energy::kRegimeCount; ++r) {
     if (by_id_[r] != fresh.by_id_[r]) {
       err << "by_id[" << r << "] diverged";
       return err.str();

@@ -1,14 +1,17 @@
-// Incremental regime index: the scan-free backing store for the protocol
-// hot path.
+// Incremental regime index: the one backing store for the protocol's
+// placement queries and fleet aggregates.
 //
 // Every protocol action used to re-derive "which servers are in regime X,
 // ordered how" by scanning all N servers per query, making one reallocation
 // round O(N * queries).  The index maintains that information incrementally:
 // servers notify it on every state change (ServerStateListener), and it
 // keeps
-//   * per-regime buckets of *awake* servers, twice: ordered by id (the
-//     protocol's deterministic visit order) and ordered by load distance to
-//     the server's own optimal-region center (the placement score axis),
+//   * per-(side, regime) buckets of *awake* servers ordered by load distance
+//     to the server's own optimal-region center (the placement score axis);
+//     a whole fleet is one side, a partitioned one has a set of axes per
+//     side so every search stays inside the side it was asked about,
+//   * fleet-wide per-regime bitsets of awake servers ordered by id (the
+//     protocol's deterministic visit order),
 //   * sleeper buckets per settled sleep depth (C1/C3/C6), ordered by id,
 //   * membership sets for the rebalance donors (awake above center) and the
 //     drain/park candidates (awake and empty),
@@ -16,24 +19,26 @@
 //     regime-report fan-in) that previously cost one fleet scan each per
 //     interval snapshot.
 //
-// Bit-identity contract: every query reproduces the corresponding legacy
-// full-scan *exactly* -- same winner, same tie-breaks, same floating-point
-// comparisons -- so golden-hash CSVs are unchanged with the index enabled.
-// Two techniques make that possible:
+// Bit-identity contract: every query reproduces the corresponding reference
+// full scan *exactly* -- policy::find_tiered_target, policy::
+// find_below_center_target, Leader::pick_wake_candidate and the drain scan,
+// each restricted by a PlacementFilter to the side searched -- same winner,
+// same tie-breaks, same floating-point comparisons.  The scans survive only
+// as test and perf_kernel oracles.  Two techniques make that possible:
 //   1. Candidate enumeration is approximate, scoring is exact.  The ordered
-//      buckets are keyed by (load - center), which tracks the legacy score
+//      buckets are keyed by (load - center), which tracks the scan's score
 //      |load + demand - center| only up to FP rounding.  Searches therefore
-//      expand outward from the ideal key, re-compute the *legacy* score
+//      expand outward from the ideal key, re-compute the *scan's* score
 //      expression for every candidate examined, and only stop once the key
 //      distance provably exceeds the best exact score by kSlop (a margin
 //      nine orders of magnitude above the achievable rounding error).
 //   2. Cursor queries return a *superset* in id order and the actions keep
 //      their original visit-time condition checks, so mid-pass mutations
-//      (a donor shedding out of its regime) resolve identically to the
-//      legacy scan-and-test loop.
+//      (a donor shedding out of its regime) resolve identically to a
+//      scan-and-test loop.
 //
-// Storage (this PR): the id-ordered membership sets are dense bitsets over
-// the slot universe (one word write per refile, word-scan cursors), and the
+// Storage: the id-ordered membership sets are dense bitsets over the slot
+// universe (one word write per refile, word-scan cursors), and the
 // load-keyed search axes are bucketed sorted vectors (KeyBucketSet) whose
 // storage comes from a pooled arena with a counting upstream -- refiling a
 // server is a short memmove in a small bucket instead of two red-black tree
@@ -52,6 +57,7 @@
 #include "cluster/index/dirty_set.h"
 #include "cluster/index/key_bucket_set.h"
 #include "cluster/index/pipeline_stats.h"
+#include "common/assert.h"
 #include "common/arena.h"
 #include "common/dense_bitset.h"
 #include "common/types.h"
@@ -70,11 +76,9 @@ class RegimeIndex final : public server::ServerStateListener {
   /// Builds the index from the servers' current state.
   explicit RegimeIndex(std::span<const server::Server> servers);
 
-  /// ServerStateListener: records the change.  Coalescing (the default)
-  /// appends a slot-level dirty mark to the per-phase DirtySet; the deferred
-  /// reclassify + refile happens in one batch at the next flush().  Eager
-  /// mode (set_coalescing(false), the --eager-notify escape hatch) re-files
-  /// immediately, one notification at a time.
+  /// ServerStateListener: records the change as a slot-level dirty mark in
+  /// the per-phase DirtySet; the deferred reclassify + refile happens in one
+  /// batch at the next flush().
   void server_state_changed(const server::Server& s) override;
 
   // --- phase-coalesced pipeline -------------------------------------------
@@ -82,24 +86,15 @@ class RegimeIndex final : public server::ServerStateListener {
   /// Applies every pending dirty mark: one batch gather-classification over
   /// the dirty lanes, an old/new slot diff, and sorted grouped refile runs
   /// into the key axes (each bucket touched once).  Every public query calls
-  /// this first, so an index answer is always computed on exactly the state
-  /// the eager per-notification path would have shown -- which is why the
-  /// two modes are bit-identical by construction.  No-op when nothing is
-  /// dirty; cheap enough to sit on every query.
+  /// this first, so an index answer is always computed on exactly the live
+  /// server state a per-notification update would have shown.  No-op when
+  /// nothing is dirty; cheap enough to sit on every query.
   void flush() const {
     if (dirty_.empty()) return;
     // Logically const: flushing publishes already-committed server state
     // into the index's internal structures and changes no query answer.
     const_cast<RegimeIndex*>(this)->flush_impl();
   }
-
-  /// Switches between coalesced (true, default) and eager notification
-  /// handling.  Turning coalescing off flushes pending marks first.
-  void set_coalescing(bool on) {
-    if (!on) flush();
-    coalesce_ = on;
-  }
-  [[nodiscard]] bool coalescing() const { return coalesce_; }
 
   /// Enables wall-clock timing of the flush phases (classify/diff/refile in
   /// pipeline_stats()).  Off by default so the hot path never reads a clock.
@@ -111,13 +106,13 @@ class RegimeIndex final : public server::ServerStateListener {
   /// Rebuilds everything from scratch (constructor body; test hook).
   void rebuild();
 
-  /// Delta refresh: batch-reclassifies the fleet from the state table's
-  /// columns (energy/regime_batch) and refiles only the servers whose
-  /// classification changed.  End state identical to rebuild(), but bulk
-  /// transitions that touch a fraction of the fleet (partition heal,
-  /// membership reconciliation) cost O(changed) refiles instead of
-  /// O(N log N) reconstruction.
-  void refresh_changed();
+  /// Installs the partition sides the load-keyed axes are split by:
+  /// `groups[i]` is server i's side, `count` the number of sides.  With
+  /// count == 1 (a whole fleet; `groups` is ignored) every server is on
+  /// side 0.  Sides change only at a fabric split and at reconciliation, so
+  /// this re-derives the whole index (rebuild()) rather than tracking side
+  /// moves on the per-notification path.
+  void set_sides(std::span<const std::int32_t> groups, std::size_t count);
 
   /// Exact heap bytes held by the index (bitsets, slot mirror, and the
   /// arena feeding the key-ordered search trees).
@@ -150,36 +145,40 @@ class RegimeIndex final : public server::ServerStateListener {
   [[nodiscard]] energy::RegimeHistogram regime_histogram() const;
   /// Servers that report their regime to the leader each interval (regime
   /// defined and != R3; includes servers still settling into sleep, exactly
-  /// like the legacy RegimeReport scan).
+  /// like a RegimeReport scan over the fleet).
   [[nodiscard]] std::size_t regime_reporter_count() const {
     flush();
     return reporters_;
   }
 
   // --- exact-equivalent placement searches --------------------------------
+  //
+  // Each search considers only servers on `side` (see set_sides); it is
+  // bit-identical to the reference scan run with a PlacementFilter
+  // admitting that side.
 
-  /// The paper's tiered search; bit-identical to policy::find_tiered_target
-  /// over the same servers.
+  /// The paper's tiered search; bit-identical to policy::find_tiered_target.
   [[nodiscard]] std::optional<common::ServerId> find_tiered_target(
-      double demand, common::ServerId exclude,
-      policy::PlacementTier max_tier) const;
+      double demand, common::ServerId exclude, policy::PlacementTier max_tier,
+      std::int32_t side) const;
 
   /// Bit-identical to policy::find_below_center_target.
   [[nodiscard]] std::optional<common::ServerId> find_below_center_target(
-      double demand, common::ServerId exclude) const;
+      double demand, common::ServerId exclude, std::int32_t side) const;
 
-  /// The consolidation (drain) uphill search: bit-identical to the donor's
-  /// inline scan in DrainAndSleep -- an R1/R2 peer, or an R3 peer staying
-  /// below its center, with strictly more load than `donor`, ending within
-  /// its optimal region; fullest-fit (closest to its own center) wins.
+  /// The consolidation (drain) uphill search: an R1/R2 peer, or an R3 peer
+  /// staying below its center, with strictly more load than `donor`, ending
+  /// within its optimal region; fullest-fit (closest to its own center)
+  /// wins, the lower id on a tie.
   [[nodiscard]] std::optional<common::ServerId> find_drain_target(
-      const server::Server& donor, double demand) const;
+      const server::Server& donor, double demand, std::int32_t side) const;
 
   /// Bit-identical to Leader::pick_wake_candidate: the lowest-id settled
   /// sleeper in the shallowest occupied sleep state.
-  [[nodiscard]] std::optional<common::ServerId> pick_wake_candidate() const;
+  [[nodiscard]] std::optional<common::ServerId> pick_wake_candidate(
+      std::int32_t side) const;
 
-  // --- ordered cursors (id order; supersets of the legacy visit sets) -----
+  // --- ordered cursors (id order, fleet-wide; supersets of the visit sets) -
 
   /// Next awake server in `r` with id greater than `after` (nullopt = from
   /// the start).  Returns nullopt when exhausted.
@@ -255,39 +254,57 @@ class RegimeIndex final : public server::ServerStateListener {
   void unfile_slot_deferred(std::uint32_t id, const Slot& slot);
 
   /// Bidirectional best-score search over `buckets` around the ideal key
-  /// -demand.  `admit(server, regime_idx)` returns the *exact legacy score*
-  /// when the candidate is admissible, nullopt otherwise.  The winner is the
-  /// exact lexicographic minimum of (score, id) -- the legacy scan's answer.
+  /// -demand on `side`'s axes.  `admit(server, regime_idx)` returns the
+  /// *exact scan score* when the candidate is admissible, nullopt
+  /// otherwise.  The winner is the exact lexicographic minimum of
+  /// (score, id) -- the reference scan's answer.
   template <class Admit>
   [[nodiscard]] std::optional<common::ServerId> search(
-      std::span<const BucketRef> buckets, double demand,
+      std::int32_t side, std::span<const BucketRef> buckets, double demand,
       common::ServerId exclude, const Admit& admit) const;
+
+  /// Position of (side, regime) in by_key_ and the run lists.
+  [[nodiscard]] static std::size_t axis(std::size_t side, int regime_idx) {
+    return side * energy::kRegimeCount + static_cast<std::size_t>(regime_idx);
+  }
+  /// The axis server `id` files into for regime `regime_idx`.
+  [[nodiscard]] std::size_t axis_of(std::uint32_t id, int regime_idx) const {
+    return axis(side_of_.empty() ? 0 : static_cast<std::size_t>(side_of_[id]),
+                regime_idx);
+  }
+  /// `side` as a position, asserting it names an installed side (the query
+  /// entry points' argument check).
+  [[nodiscard]] std::size_t checked_side(std::int32_t side) const {
+    ECLB_ASSERT(side >= 0 && static_cast<std::size_t>(side) < side_count_,
+                "RegimeIndex: side out of range");
+    return static_cast<std::size_t>(side);
+  }
 
   std::span<const server::Server> servers_;
   std::vector<Slot> slots_;
   /// Mirror of each server's packed IndexRow as of the last time the index
-  /// applied it (rebuild, refresh, eager update or flush).  A notification
-  /// whose current row equals the mirror is a no-op for every structure the
-  /// index keeps, so both the eager path and the dirty-mark path drop it
-  /// after one 32-byte compare -- settle sweeps and other fact-free
-  /// notifications never reach the refile machinery.
+  /// applied it (rebuild or flush).  A notification whose current row equals
+  /// the mirror is a no-op for every structure the index keeps, so the
+  /// dirty-mark path drops it after one 32-byte compare -- settle sweeps and
+  /// other fact-free notifications never reach the refile machinery.
   std::vector<server::ServerStateTable::IndexRow> rows_;
-  /// Scratch for refresh_changed's batch classification pass.
-  std::vector<std::int8_t> batch_scratch_;
+  /// Per-server side while partitioned; empty (everyone on side 0) while
+  /// the fleet is whole, so a whole fleet pays no memory for it.
+  std::vector<std::int32_t> side_of_;
+  std::size_t side_count_{1};
 
   // --- coalesced-pipeline state -------------------------------------------
 
-  bool coalesce_{true};
   bool phase_timing_{false};
   DirtySet dirty_;
   PipelineStats stats_;
   /// Classification output for the dirty lanes, parallel to the sorted
   /// dirty-slot list (gather kernel scratch).
   std::vector<std::int8_t> gather_out_;
-  /// Per-regime key-axis mutations collected during one flush's diff pass,
-  /// applied as sorted grouped runs at the end of the phase.
-  std::array<std::vector<LoadKey>, energy::kRegimeCount> erase_runs_;
-  std::array<std::vector<LoadKey>, energy::kRegimeCount> insert_runs_;
+  /// Per-axis key mutations collected during one flush's diff pass, applied
+  /// as sorted grouped runs at the end of the phase (indexed like by_key_).
+  std::vector<std::vector<LoadKey>> erase_runs_;
+  std::vector<std::vector<LoadKey>> insert_runs_;
 
   /// Arena for the key sets: the pool recycles bucket storage across
   /// refiles, the counting upstream makes memory_bytes() exact.  Declared
@@ -295,9 +312,8 @@ class RegimeIndex final : public server::ServerStateListener {
   common::CountingMemoryResource counting_;
   std::pmr::unsynchronized_pool_resource pool_{&counting_};
 
-  std::array<KeySet, energy::kRegimeCount> by_key_{
-      KeySet{&pool_}, KeySet{&pool_}, KeySet{&pool_}, KeySet{&pool_},
-      KeySet{&pool_}};
+  /// Load-keyed search axes, one per (side, regime): axis(side, r).
+  std::vector<KeySet> by_key_;
   std::array<common::DenseBitset, energy::kRegimeCount> by_id_;
   /// Settled sleepers by depth: [0]=C1, [1]=C3, [2]=C6.
   std::array<common::DenseBitset, 3> sleepers_;

@@ -6,7 +6,8 @@
 // views under the surviving highest-epoch leader at a fresh epoch, resolves
 // the ledger of shadow placements (original survived -> retire the shadow as
 // a duplicate; original lost -> the shadow *is* the surviving instance),
-// rebuilds the regime index and emits the heal-convergence metrics.
+// re-joins the regime index's per-side axes and emits the heal-convergence
+// metrics.
 //
 // Cluster::reconcile_partitions lives here beside the action that drives it:
 // the merge logic is protocol policy, not cluster bookkeeping, and keeping
@@ -14,6 +15,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <unordered_map>
 
 #include "cluster/cluster.h"
 #include "cluster/config.h"
@@ -71,19 +73,33 @@ void Cluster::reconcile_partitions() {
     }
   }
 
-  // 2. Resolve the shadow ledger (deterministic: insertion order).
+  // 2. Resolve the shadow ledger (deterministic: insertion order).  One
+  // sweep over the fleet locates every shadow up front; retiring one shadow
+  // never moves another, so the map stays exact for the whole loop.
+  std::unordered_map<common::VmId, common::ServerId> shadow_host;
+  shadow_host.reserve(shadow_ledger_.size());
+  for (const auto& entry : shadow_ledger_) {
+    shadow_host.emplace(entry.shadow, common::ServerId{});
+  }
+  for (const auto& s : servers_) {
+    for (const auto& v : s.vms()) {
+      if (const auto it = shadow_host.find(v.id()); it != shadow_host.end()) {
+        it->second = s.id();
+      }
+    }
+  }
   std::size_t duplicates = 0;
   std::size_t adopted = 0;
   for (const auto& entry : shadow_ledger_) {
-    const server::Server* shadow_host = find_vm_host(entry.shadow);
-    if (shadow_host == nullptr) continue;  // shadow died with its host
+    const common::ServerId host_id = shadow_host.at(entry.shadow);
+    if (!host_id.valid()) continue;  // shadow died with its host
     server::Server& origin = server_ref(entry.origin);
     const bool original_alive =
         !origin.failed() && origin.find(entry.original) != nullptr;
     if (original_alive) {
       // Both instances survived the split: the original (the older
       // placement) wins and the quorum's shadow is retired.
-      auto& host = server_ref(shadow_host->id());
+      auto& host = server_ref(host_id);
       auto removed = host.remove(entry.shadow);
       ECLB_ASSERT(removed.has_value(), "reconcile: ledger shadow vanished");
       retire_growth(entry.shadow);
@@ -124,10 +140,9 @@ void Cluster::reconcile_partitions() {
   traffic_energy_ +=
       config_.costs.energy_per_message * static_cast<double>(live);
 
-  // 5. The index bypassed its buckets while partitioned (side-filtered
-  // legacy scans); a batch reclassification sweep refiles only the servers
-  // the partition actually moved, and the next round is scan-free again.
-  if (index_ != nullptr) index_->refresh_changed();
+  // 5. One side again: the index folds its per-side search axes back into
+  // one set.
+  index_->set_sides(membership_.groups(), 1);
 
   const common::Seconds convergence = when - heal_time_;
   recorder_.reconciled(convergence, new_leader);

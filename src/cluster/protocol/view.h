@@ -88,11 +88,10 @@ class ClusterView {
 
   // --- scan-free cursors & counts ------------------------------------------
   //
-  // Id-ordered *supersets* of the legacy visit sets.  Actions re-apply their
-  // visit-time condition checks on every returned server, so the indexed and
-  // legacy modes make bit-identical decisions: with the regime index the
-  // cursor walks the relevant bucket; without it, it degenerates to plain id
-  // iteration over all servers -- exactly the legacy loop.
+  // Id-ordered, fleet-wide *supersets* of each action's visit set, walked
+  // over the regime index's bitsets.  Actions re-apply their visit-time
+  // condition checks on every returned server, so a cursor decides exactly
+  // what a plain id loop over all servers would.
 
   /// Next awake server in regime `r` with id greater than `after`
   /// (nullopt = start); nullopt when exhausted.

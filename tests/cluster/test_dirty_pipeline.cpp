@@ -2,25 +2,28 @@
 //
 // The pipeline's contract mirrors the index's own: coalescing notifications
 // into per-phase flushes must be invisible -- every query answer, interval
-// report and digest identical to the eager one-notification-one-refile mode,
-// under arbitrary interleavings of protocol rounds, faults and request
-// workloads.  Three layers:
+// report and digest identical to applying each notification at once, under
+// arbitrary interleavings of protocol rounds, faults and request workloads.
+// Three layers:
 //   1. Unit tests for the pipeline's building blocks: DirtySet (dedup,
 //      epoch-bump clear, uint32 epoch wraparound) and KeyBucketSet's
 //      grouped-run batch apply + same-bucket refile against one-at-a-time
 //      oracles, including the degenerate runs (empty batch, whole-bucket
 //      turnover, refill of a just-emptied bucket).
-//   2. Differential full runs: a coalescing cluster and an eager
-//      (coalesce_notifications = false) cluster with the same seed must
-//      emit identical reports, cursor walks and self_check results under
-//      churn, a FaultPlan and a request-level workload.
-//   3. Fabric digests: the same fabric seed must replay bit-identically
-//      across {coalesced, eager} x {1, 2} worker threads.
+//   2. Pinned full runs: under churn, a FaultPlan and a request-level
+//      workload, the report stream, the cursor walks right after each
+//      mutation and the end state must reproduce the digest that both the
+//      coalesced and the per-notification (eager) modes produced before the
+//      eager mode was retired; self_check must pass throughout.
+//   3. Fabric digests: the same fabric seed must replay bit-identically at
+//      {1, 2, 8} worker threads, and match the pinned digest.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory_resource>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -31,6 +34,7 @@
 #include "experiment/request_driver.h"
 #include "fault/fault_plan.h"
 #include "fault/injector.h"
+#include "run_digest.h"
 
 namespace eclb::cluster {
 namespace {
@@ -160,7 +164,7 @@ TEST(KeyBucketSet, RefileMatchesEraseInsertInAndAcrossBuckets) {
   index::KeyBucketSet oracle(std::pmr::new_delete_resource());
   fused.configure(16);
   oracle.configure(16);
-  for (const Kv v : {Kv{0.01, 1}, Kv{0.05, 2}, Kv{0.10, 3}, Kv{0.30, 4}}) {
+  for (const Kv& v : {Kv{0.01, 1}, Kv{0.05, 2}, Kv{0.10, 3}, Kv{0.30, 4}}) {
     fused.insert(v);
     oracle.insert(v);
   }
@@ -180,15 +184,18 @@ TEST(KeyBucketSet, RefileMatchesEraseInsertInAndAcrossBuckets) {
   EXPECT_EQ(elements_of(fused), elements_of(oracle));
 }
 
-// --- coalesced vs eager differential runs -----------------------------------
+// --- pinned full runs --------------------------------------------------------
+//
+// The digests below were recorded from the parent revision that still had
+// the eager notification mode: the coalesced run and the eager run of each
+// scenario produced the same value.
 
-ClusterConfig pipeline_config(std::uint64_t seed, bool coalesce) {
+ClusterConfig pipeline_config(std::uint64_t seed) {
   ClusterConfig cfg;
   cfg.server_count = 60;
   cfg.initial_load_min = 0.2;
   cfg.initial_load_max = 0.4;
   cfg.seed = seed;
-  cfg.coalesce_notifications = coalesce;
   return cfg;
 }
 
@@ -211,84 +218,59 @@ void churn(Cluster& c, int round) {
   }
 }
 
-/// Full id walk of every ordered cursor: any divergence in iteration order
-/// between the two modes shows up as a different sequence.
-std::vector<std::uint32_t> cursor_walks(const index::RegimeIndex& idx) {
-  std::vector<std::uint32_t> out;
-  constexpr std::uint32_t kSep = 0xFFFFFFFFu;
+/// Full id walk of every ordered cursor, folded into `digest`: any change
+/// in iteration order or membership changes the digest.
+void digest_cursor_walks(const index::RegimeIndex& idx,
+                         testing::RunDigest& digest) {
+  constexpr std::uint64_t kSep = 0xFFFFFFFFu;
   for (const auto r :
        {energy::Regime::kR1UndesirableLow, energy::Regime::kR2SuboptimalLow,
         energy::Regime::kR3Optimal, energy::Regime::kR4SuboptimalHigh,
         energy::Regime::kR5UndesirableHigh}) {
     for (auto id = idx.next_in_regime(r, std::nullopt); id.has_value();
          id = idx.next_in_regime(r, id)) {
-      out.push_back(id->value);
+      digest.add_u64(id->value);
     }
-    out.push_back(kSep);
+    digest.add_u64(kSep);
   }
   for (auto id = idx.next_above_center(std::nullopt); id.has_value();
        id = idx.next_above_center(id)) {
-    out.push_back(id->value);
+    digest.add_u64(id->value);
   }
-  out.push_back(kSep);
+  digest.add_u64(kSep);
   for (auto id = idx.next_parked(std::nullopt); id.has_value();
        id = idx.next_parked(id)) {
-    out.push_back(id->value);
+    digest.add_u64(id->value);
   }
-  out.push_back(kSep);
+  digest.add_u64(kSep);
   for (auto id = idx.next_awake_empty(std::nullopt); id.has_value();
        id = idx.next_awake_empty(id)) {
-    out.push_back(id->value);
+    digest.add_u64(id->value);
   }
-  return out;
-}
-
-void expect_reports_equal(const IntervalReport& a, const IntervalReport& b,
-                          std::size_t i) {
-  EXPECT_EQ(a.local_decisions, b.local_decisions) << "interval " << i;
-  EXPECT_EQ(a.in_cluster_decisions, b.in_cluster_decisions) << "interval " << i;
-  EXPECT_EQ(a.migrations, b.migrations) << "interval " << i;
-  EXPECT_EQ(a.horizontal_starts, b.horizontal_starts) << "interval " << i;
-  EXPECT_EQ(a.drains, b.drains) << "interval " << i;
-  EXPECT_EQ(a.sleeps, b.sleeps) << "interval " << i;
-  EXPECT_EQ(a.wakes, b.wakes) << "interval " << i;
-  EXPECT_EQ(a.sla_violations, b.sla_violations) << "interval " << i;
-  EXPECT_EQ(a.sleeping_servers, b.sleeping_servers) << "interval " << i;
-  EXPECT_EQ(a.parked_servers, b.parked_servers) << "interval " << i;
-  EXPECT_EQ(a.deep_sleeping_servers, b.deep_sleeping_servers)
-      << "interval " << i;
-  EXPECT_EQ(a.failed_servers, b.failed_servers) << "interval " << i;
-  EXPECT_EQ(a.regimes, b.regimes) << "interval " << i;
-  EXPECT_DOUBLE_EQ(a.unserved_demand, b.unserved_demand) << "interval " << i;
-  EXPECT_DOUBLE_EQ(a.interval_energy.value, b.interval_energy.value)
-      << "interval " << i;
 }
 
 TEST(DirtyPipeline, CoalescedMatchesEagerUnderChurn) {
-  for (std::uint64_t seed : {4u, 27u, 101u}) {
-    Cluster coalesced(pipeline_config(seed, /*coalesce=*/true));
-    Cluster eager(pipeline_config(seed, /*coalesce=*/false));
-    ASSERT_NE(coalesced.regime_index(), nullptr);
-    ASSERT_NE(eager.regime_index(), nullptr);
+  const std::pair<std::uint64_t, std::uint64_t> pinned[] = {
+      {4u, 0x29a19b7436e63a98ULL},
+      {27u, 0xe8869b1c257fc50cULL},
+      {101u, 0x44c5945248a90d3cULL}};
+  for (const auto& [seed, want] : pinned) {
+    Cluster c(pipeline_config(seed));
+    testing::RunDigest digest;
     for (int round = 0; round < 30; ++round) {
-      const auto ra = coalesced.step();
-      const auto rb = eager.step();
-      expect_reports_equal(ra, rb, static_cast<std::size_t>(round));
-      churn(coalesced, round);
-      churn(eager, round);
+      digest.add_report(c.step());
+      churn(c, round);
       // Mid-phase view: cursor walks immediately after mutation exercise
-      // the flush-on-query barrier against the eager mode's live state.
-      EXPECT_EQ(cursor_walks(*coalesced.regime_index()),
-                cursor_walks(*eager.regime_index()))
-          << "seed " << seed << " round " << round;
-      const auto err = coalesced.regime_index()->self_check();
+      // the flush-on-query barrier.
+      digest_cursor_walks(c.regime_index(), digest);
+      const auto err = c.regime_index().self_check();
       ASSERT_FALSE(err.has_value())
           << "seed " << seed << " round " << round << ": " << *err;
     }
-    EXPECT_DOUBLE_EQ(coalesced.total_energy().value,
-                     eager.total_energy().value);
-    EXPECT_EQ(coalesced.total_vms(), eager.total_vms());
-    EXPECT_EQ(coalesced.message_stats().total(), eager.message_stats().total());
+    digest.add_double(c.total_energy().value);
+    digest.add_u64(c.total_vms());
+    digest.add_u64(c.message_stats().total());
+    EXPECT_EQ(digest.value(), want) << "seed " << seed;
   }
 }
 
@@ -305,99 +287,75 @@ fault::FaultPlan pipeline_stress_plan() {
 }
 
 TEST(DirtyPipeline, CoalescedMatchesEagerUnderFaultPlan) {
-  Cluster coalesced(pipeline_config(33, /*coalesce=*/true));
-  Cluster eager(pipeline_config(33, /*coalesce=*/false));
-  fault::FaultInjector fc(coalesced, pipeline_stress_plan());
-  fault::FaultInjector fe(eager, pipeline_stress_plan());
+  Cluster c(pipeline_config(33));
+  fault::FaultInjector injector(c, pipeline_stress_plan());
+  testing::RunDigest digest;
   for (std::size_t i = 0; i < 40; ++i) {
-    const auto ra = coalesced.step();
-    const auto rb = eager.step();
-    expect_reports_equal(ra, rb, i);
-    const auto err = coalesced.regime_index()->self_check();
+    digest.add_report(c.step());
+    const auto err = c.regime_index().self_check();
     ASSERT_FALSE(err.has_value()) << "interval " << i << ": " << *err;
   }
-  EXPECT_DOUBLE_EQ(coalesced.total_energy().value, eager.total_energy().value);
-  EXPECT_EQ(fc.stats().crashes, fe.stats().crashes);
-  EXPECT_EQ(fc.stats().failovers, fe.stats().failovers);
+  digest.add_double(c.total_energy().value);
+  digest.add_u64(injector.stats().crashes);
+  digest.add_u64(injector.stats().failovers);
+  EXPECT_EQ(digest.value(), 0x35e7bb8852937a27ULL);
 }
 
 TEST(DirtyPipeline, CoalescedMatchesEagerUnderRequestWorkload) {
-  auto make = [](bool coalesce) {
-    auto cfg = pipeline_config(55, coalesce);
-    cfg.demand_evolution_enabled = false;
-    return cfg;
-  };
+  auto cfg = pipeline_config(55);
+  cfg.demand_evolution_enabled = false;
   const char* spec = "poisson:rate=120,mean=0.3;flash:rate=40,burst=6;seed=9";
   std::string err;
   const auto wcfg = workload::engine::RequestWorkloadConfig::parse(spec, &err);
   ASSERT_TRUE(wcfg.has_value()) << err;
-  Cluster coalesced(make(true));
-  Cluster eager(make(false));
-  experiment::RequestDriver dc(coalesced, *wcfg);
-  experiment::RequestDriver de(eager, *wcfg);
-  ASSERT_TRUE(dc.ok());
-  ASSERT_TRUE(de.ok());
+  Cluster c(cfg);
+  experiment::RequestDriver driver(c, *wcfg);
+  ASSERT_TRUE(driver.ok());
+  testing::RunDigest digest;
   for (std::size_t i = 0; i < 30; ++i) {
-    dc.advance_interval();
-    de.advance_interval();
-    const auto ra = coalesced.step();
-    const auto rb = eager.step();
-    expect_reports_equal(ra, rb, i);
+    driver.advance_interval();
+    digest.add_report(c.step());
   }
-  const auto sc = dc.summary();
-  const auto se = de.summary();
-  EXPECT_EQ(sc.completed, se.completed);
-  EXPECT_EQ(sc.sla_violations, se.sla_violations);
-  EXPECT_DOUBLE_EQ(coalesced.total_energy().value, eager.total_energy().value);
+  const auto summary = driver.summary();
+  digest.add_u64(summary.completed);
+  digest.add_u64(summary.sla_violations);
+  digest.add_double(c.total_energy().value);
+  EXPECT_EQ(digest.value(), 0xec51c77af4186910ULL);
 }
 
 // --- fabric digests ---------------------------------------------------------
 
-TEST(DirtyPipeline, FabricDigestsIdenticalAcrossModesAndThreadCounts) {
+TEST(DirtyPipeline, FabricDigestsIdenticalAcrossThreadCounts) {
   constexpr std::size_t kShards = 4;
   constexpr std::size_t kSteps = 8;
-  std::vector<std::vector<std::uint64_t>> digests;
-  for (const bool coalesce : {true, false}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-      FabricConfig fcfg;
-      fcfg.shard_count = kShards;
-      fcfg.threads = threads;
-      fcfg.cluster_template = pipeline_config(77, coalesce);
-      Fabric fabric(fcfg);
-      std::vector<std::uint64_t> run;
-      run.reserve(kSteps + 1);
-      for (std::size_t i = 0; i < kSteps; ++i) {
-        run.push_back(fabric_report_digest(fabric.step()));
-      }
-      run.push_back(fabric.state_digest());
-      digests.push_back(std::move(run));
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    FabricConfig fcfg;
+    fcfg.shard_count = kShards;
+    fcfg.threads = threads;
+    fcfg.cluster_template = pipeline_config(77);
+    Fabric fabric(fcfg);
+    testing::RunDigest digest;
+    for (std::size_t i = 0; i < kSteps; ++i) {
+      digest.add_u64(fabric_report_digest(fabric.step()));
     }
-  }
-  for (std::size_t i = 1; i < digests.size(); ++i) {
-    EXPECT_EQ(digests[0], digests[i]) << "variant " << i;
+    digest.add_u64(fabric.state_digest());
+    EXPECT_EQ(digest.value(), 0x77c033ce7965c241ULL) << threads << " threads";
   }
 }
 
-/// The coalesced pipeline actually coalesces: a steady-state interval at
-/// this size must mark slots and apply batched refiles, and the eager mode
-/// must report none.  (Counter plumbing guard -- the figures feed the CLI's
-/// --mem-stats/--profile trailers and the perf kernel's phase rows.)
-TEST(DirtyPipeline, PipelineCountersFlowOnlyWhenCoalescing) {
-  Cluster coalesced(pipeline_config(6, /*coalesce=*/true));
-  Cluster eager(pipeline_config(6, /*coalesce=*/false));
-  for (int i = 0; i < 10; ++i) {
-    coalesced.step();
-    eager.step();
-  }
-  const auto pc = coalesced.pipeline_stats();
-  const auto pe = eager.pipeline_stats();
-  EXPECT_GT(pc.flushes, 0u);
-  EXPECT_GT(pc.dirty_slots, 0u);
-  EXPECT_EQ(pe.flushes, 0u);
-  EXPECT_EQ(pe.dirty_slots, 0u);
-  // Phase timers only tick when explicitly enabled.
-  EXPECT_EQ(pc.classify_seconds, 0.0);
-  Cluster timed(pipeline_config(6, /*coalesce=*/true));
+/// The pipeline actually coalesces: a steady-state interval at this size
+/// must mark slots and apply batched refiles, and the phase timers stay at
+/// zero until switched on.  (Counter plumbing guard -- the figures feed the
+/// CLI's --mem-stats/--profile trailers and the perf kernel's phase rows.)
+TEST(DirtyPipeline, PipelineCountersFlowAndTimersAreOptIn) {
+  Cluster c(pipeline_config(6));
+  for (int i = 0; i < 10; ++i) c.step();
+  const auto stats = c.pipeline_stats();
+  EXPECT_GT(stats.flushes, 0u);
+  EXPECT_GT(stats.dirty_slots, 0u);
+  EXPECT_EQ(stats.classify_seconds, 0.0);
+  Cluster timed(pipeline_config(6));
   timed.set_pipeline_phase_timing(true);
   for (int i = 0; i < 10; ++i) timed.step();
   EXPECT_GT(timed.pipeline_stats().diff_seconds, 0.0);

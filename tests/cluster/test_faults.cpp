@@ -219,5 +219,22 @@ TEST(ClusterFaults, CrashWithRuntimeInstalledIsDeterministic) {
   }
 }
 
+TEST(ClusterFaults, DeratedServersAreNotOverfilledByHorizontalStarts) {
+  // Derating most of a busy fleet below its regime thresholds: the
+  // energy-aware search still proposes those servers (its bounds are the
+  // regime thresholds), and a horizontal start that would overfill a
+  // derated host must go unplaced instead of aborting the run.
+  ClusterConfig cfg = small_config(3);
+  cfg.initial_load_min = 0.5;
+  cfg.initial_load_max = 0.7;
+  Cluster c(cfg);
+  c.step();
+  for (std::uint32_t i = 0; i < 40; ++i) c.derate_server(ServerId{i}, 0.35);
+  std::size_t violations = 0;
+  for (int i = 0; i < 20; ++i) violations += c.step().sla_violations;
+  EXPECT_GT(violations, 0U);  // unplaced increments are booked as such
+  EXPECT_EQ(c.self_audit(), std::nullopt);
+}
+
 }  // namespace
 }  // namespace eclb::cluster

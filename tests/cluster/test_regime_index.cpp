@@ -1,30 +1,37 @@
 // Equivalence suite for the incremental regime index (src/cluster/index).
 //
-// The index's contract is *bit-identity* with the legacy full scans: every
-// aggregate, cursor and placement search must reproduce the scan answer
-// exactly, under arbitrary interleavings of protocol rounds, crashes,
-// recoveries, derates and injected VMs.  Three layers of checking:
+// The index's contract is *bit-identity* with the reference full scans
+// (policy::find_tiered_target, policy::find_below_center_target,
+// Leader::pick_wake_candidate and the drain scan below): every aggregate,
+// cursor and placement search must reproduce the scan answer exactly, on
+// every partition side, under arbitrary interleavings of protocol rounds,
+// crashes, recoveries, derates, injected VMs, splits and heals.  Three
+// layers of checking:
 //   1. self_check(): the index audits itself against a fresh classification
 //      of every server (catches stale incremental state).
-//   2. Naive oracles: tests recompute each aggregate/search with the legacy
-//      scan expressions and compare.
-//   3. Differential full runs: an indexed cluster and a use_regime_index =
-//      false cluster with the same seed must emit identical interval
-//      reports, message stats and energy -- fault-free and under a
-//      FaultPlan.
+//   2. Scan oracles: tests recompute each aggregate/search with the scan
+//      expressions -- per side, through a PlacementFilter -- and compare.
+//   3. Pinned full runs: fault-free, FaultPlan and partitioned runs must
+//      reproduce the report-stream digest recorded before the scan path was
+//      retired (where the indexed and the full-scan paths agreed, and where
+//      split clusters were served by side-filtered scans).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "cluster/index/regime_index.h"
 #include "cluster/leader.h"
+#include "common/rng.h"
 #include "fault/fault_plan.h"
 #include "fault/injector.h"
 #include "policy/placement.h"
+#include "run_digest.h"
 
 namespace eclb::cluster {
 namespace {
@@ -32,13 +39,12 @@ namespace {
 using common::Seconds;
 using common::ServerId;
 
-ClusterConfig base_config(std::uint64_t seed, bool indexed = true) {
+ClusterConfig base_config(std::uint64_t seed, std::size_t servers = 60) {
   ClusterConfig cfg;
-  cfg.server_count = 60;
+  cfg.server_count = servers;
   cfg.initial_load_min = 0.2;
   cfg.initial_load_max = 0.4;
   cfg.seed = seed;
-  cfg.use_regime_index = indexed;
   return cfg;
 }
 
@@ -60,28 +66,102 @@ void churn(Cluster& c, int round) {
   }
 }
 
-TEST(RegimeIndex, InstalledByDefaultAndAbsentWhenDisabled) {
-  Cluster on(base_config(1));
-  EXPECT_NE(on.regime_index(), nullptr);
-  Cluster off(base_config(1, /*indexed=*/false));
-  EXPECT_EQ(off.regime_index(), nullptr);
+/// The reference drain (consolidation) scan, restricted to the servers
+/// `filter` admits: an R1/R2 peer with strictly more load, or an R3 peer
+/// staying below its own center, ending within its optimal region;
+/// fullest-fit (closest to its center) wins, the first (lowest id) on a
+/// tie.
+std::optional<ServerId> drain_scan(std::span<const server::Server> servers,
+                                   Seconds now, const server::Server& donor,
+                                   double demand,
+                                   const policy::PlacementFilter& filter) {
+  constexpr double kEps = 1e-9;
+  std::optional<ServerId> want;
+  double best = 0.0;
+  for (const auto& t : servers) {
+    if (t.id() == donor.id() || !t.awake(now)) continue;
+    if (!filter.admits(t.id())) continue;
+    if (t.load() <= donor.load() + kEps) continue;
+    const auto r = t.regime();
+    if (!r.has_value()) continue;
+    const auto& th = t.thresholds();
+    const double post = t.load() + demand;
+    const bool low = *r == energy::Regime::kR1UndesirableLow ||
+                     *r == energy::Regime::kR2SuboptimalLow;
+    const bool r3_below = *r == energy::Regime::kR3Optimal &&
+                          post <= th.optimal_center() + kEps;
+    if (!low && !r3_below) continue;
+    if (post > th.alpha_opt_high + kEps) continue;
+    const double score = std::abs(post - th.optimal_center());
+    if (!want.has_value() || score < best) {
+      want = t.id();
+      best = score;
+    }
+  }
+  return want;
+}
+
+/// Compares every index search, on every side of `c`'s current membership,
+/// against the reference scans confined to that side.  Returns the number
+/// of drain queries compared.
+std::size_t expect_searches_match_scans(const Cluster& c,
+                                        const std::string& where) {
+  const auto& idx = c.regime_index();
+  const auto servers = c.servers();
+  const auto now = c.now();
+  const Leader leader;
+  const auto n = static_cast<std::uint32_t>(c.size());
+  std::size_t drains = 0;
+  for (std::size_t g = 0; g < c.membership().side_count(); ++g) {
+    const auto side = static_cast<std::int32_t>(g);
+    const policy::PlacementFilter filter{&c.membership().groups(), side};
+    const std::string at = where + " side " + std::to_string(g);
+    EXPECT_EQ(idx.pick_wake_candidate(side),
+              leader.pick_wake_candidate(servers, now, &filter))
+        << at;
+    for (double demand : {0.01, 0.08, 0.2, 0.45}) {
+      for (std::uint32_t ex : {0u, 5u, n / 2, n - 1}) {
+        const ServerId exclude{ex};
+        for (auto tier : {policy::PlacementTier::kLowRegimesOnly,
+                          policy::PlacementTier::kStayOptimal,
+                          policy::PlacementTier::kStaySuboptimal}) {
+          EXPECT_EQ(idx.find_tiered_target(demand, exclude, tier, side),
+                    policy::find_tiered_target(servers, now, demand, exclude,
+                                               tier, &filter))
+              << at << " demand " << demand << " ex " << ex;
+        }
+        EXPECT_EQ(idx.find_below_center_target(demand, exclude, side),
+                  policy::find_below_center_target(servers, now, demand,
+                                                   exclude, &filter))
+            << at << " demand " << demand << " ex " << ex;
+      }
+    }
+    for (const auto& donor : servers) {
+      if (!donor.awake(now) || donor.vms().empty()) continue;
+      if (!filter.admits(donor.id())) continue;
+      const double demand = donor.vms().front().demand();
+      EXPECT_EQ(idx.find_drain_target(donor, demand, side),
+                drain_scan(servers, now, donor, demand, filter))
+          << at << " donor " << donor.id().value;
+      ++drains;
+    }
+  }
+  return drains;
 }
 
 TEST(RegimeIndex, SelfCheckPassesAfterConstruction) {
   Cluster c(base_config(2));
-  ASSERT_NE(c.regime_index(), nullptr);
-  const auto err = c.regime_index()->self_check();
+  const auto err = c.regime_index().self_check();
   EXPECT_FALSE(err.has_value()) << *err;
 }
 
 TEST(RegimeIndex, SelfCheckPassesUnderRandomizedChurn) {
   for (std::uint64_t seed : {3u, 11u, 42u}) {
     Cluster c(base_config(seed));
-    ASSERT_NE(c.regime_index(), nullptr);
     for (int round = 0; round < 24; ++round) {
       c.step();
       churn(c, round);
-      const auto err = c.regime_index()->self_check();
+      const auto err = c.regime_index().self_check();
       ASSERT_FALSE(err.has_value())
           << "seed " << seed << " round " << round << ": " << *err;
     }
@@ -90,11 +170,10 @@ TEST(RegimeIndex, SelfCheckPassesUnderRandomizedChurn) {
 
 TEST(RegimeIndex, AggregatesMatchNaiveScans) {
   Cluster c(base_config(5));
-  ASSERT_NE(c.regime_index(), nullptr);
   for (int round = 0; round < 16; ++round) {
     c.step();
     churn(c, round);
-    const auto& idx = *c.regime_index();
+    const auto& idx = c.regime_index();
     const auto now = c.now();
 
     std::size_t vms = 0, sleeping = 0, parked = 0, deep = 0, reporters = 0;
@@ -110,7 +189,7 @@ TEST(RegimeIndex, AggregatesMatchNaiveScans) {
         if (r.has_value()) ++hist[energy::regime_index(*r)];
       }
       // The j_k fan-in counts every server whose regime is *defined* -- the
-      // legacy loop includes hosts still settling into sleep.
+      // scan includes hosts still settling into sleep.
       const auto r = s.regime();
       if (r.has_value() && *r != energy::Regime::kR3Optimal) ++reporters;
     }
@@ -125,124 +204,88 @@ TEST(RegimeIndex, AggregatesMatchNaiveScans) {
 
 TEST(RegimeIndex, PlacementSearchesMatchLegacyScans) {
   Cluster c(base_config(7));
-  ASSERT_NE(c.regime_index(), nullptr);
-  const Leader leader;
   for (int round = 0; round < 16; ++round) {
     c.step();
     churn(c, round);
-    const auto& idx = *c.regime_index();
-    const auto servers = c.servers();
-    const auto now = c.now();
-
-    for (double demand : {0.01, 0.08, 0.2, 0.45}) {
-      for (std::uint32_t ex : {0u, 5u, 31u}) {
-        const ServerId exclude{ex};
-        for (auto tier : {policy::PlacementTier::kLowRegimesOnly,
-                          policy::PlacementTier::kStayOptimal,
-                          policy::PlacementTier::kStaySuboptimal}) {
-          EXPECT_EQ(idx.find_tiered_target(demand, exclude, tier),
-                    policy::find_tiered_target(servers, now, demand, exclude, tier))
-              << "round " << round << " demand " << demand << " ex " << ex;
-        }
-        EXPECT_EQ(idx.find_below_center_target(demand, exclude),
-                  policy::find_below_center_target(servers, now, demand, exclude))
-            << "round " << round << " demand " << demand << " ex " << ex;
-      }
-    }
-    EXPECT_EQ(idx.pick_wake_candidate(), leader.pick_wake_candidate(servers, now));
+    expect_searches_match_scans(c, "round " + std::to_string(round));
   }
 }
 
 TEST(RegimeIndex, DrainSearchMatchesLegacyScan) {
   Cluster c(base_config(9));
-  ASSERT_NE(c.regime_index(), nullptr);
-  constexpr double kEps = 1e-9;
   std::size_t compared = 0;
   for (int round = 0; round < 16; ++round) {
     c.step();
-    const auto servers = c.servers();
-    const auto now = c.now();
-    for (const auto& donor : servers) {
-      if (!donor.awake(now) || donor.vms().empty()) continue;
-      const double demand = donor.vms().front().demand();
-
-      // The legacy inline scan from DrainAndSleep, verbatim.
-      std::optional<ServerId> want;
-      double best = 0.0;
-      for (const auto& t : servers) {
-        if (t.id() == donor.id() || !t.awake(now)) continue;
-        if (t.load() <= donor.load() + kEps) continue;
-        const auto r = t.regime();
-        if (!r.has_value()) continue;
-        const auto& th = t.thresholds();
-        const double post = t.load() + demand;
-        const bool low = *r == energy::Regime::kR1UndesirableLow ||
-                         *r == energy::Regime::kR2SuboptimalLow;
-        const bool r3_below = *r == energy::Regime::kR3Optimal &&
-                              post <= th.optimal_center() + kEps;
-        if (!low && !r3_below) continue;
-        if (post > th.alpha_opt_high + kEps) continue;
-        const double score = std::abs(post - th.optimal_center());
-        if (!want.has_value() || score < best) {
-          want = t.id();
-          best = score;
-        }
-      }
-      EXPECT_EQ(c.regime_index()->find_drain_target(donor, demand), want)
-          << "round " << round << " donor " << donor.id().value;
-      ++compared;
-    }
+    compared += expect_searches_match_scans(c, "round " + std::to_string(round));
   }
   EXPECT_GT(compared, 100U);  // the oracle actually exercised real donors
 }
 
-/// Field-by-field interval report comparison (operator== would hide which
-/// counter diverged).
-void expect_reports_equal(const IntervalReport& a, const IntervalReport& b,
-                          std::size_t i) {
-  EXPECT_EQ(a.local_decisions, b.local_decisions) << "interval " << i;
-  EXPECT_EQ(a.in_cluster_decisions, b.in_cluster_decisions) << "interval " << i;
-  EXPECT_EQ(a.migrations, b.migrations) << "interval " << i;
-  EXPECT_EQ(a.shed_migrations, b.shed_migrations) << "interval " << i;
-  EXPECT_EQ(a.rebalance_migrations, b.rebalance_migrations) << "interval " << i;
-  EXPECT_EQ(a.consolidation_migrations, b.consolidation_migrations)
-      << "interval " << i;
-  EXPECT_EQ(a.horizontal_starts, b.horizontal_starts) << "interval " << i;
-  EXPECT_EQ(a.drains, b.drains) << "interval " << i;
-  EXPECT_EQ(a.sleeps, b.sleeps) << "interval " << i;
-  EXPECT_EQ(a.wakes, b.wakes) << "interval " << i;
-  EXPECT_EQ(a.sla_violations, b.sla_violations) << "interval " << i;
-  EXPECT_EQ(a.crashes, b.crashes) << "interval " << i;
-  EXPECT_EQ(a.recoveries, b.recoveries) << "interval " << i;
-  EXPECT_EQ(a.failovers, b.failovers) << "interval " << i;
-  EXPECT_EQ(a.dropped_messages, b.dropped_messages) << "interval " << i;
-  EXPECT_EQ(a.retried_messages, b.retried_messages) << "interval " << i;
-  EXPECT_EQ(a.orphans_replaced, b.orphans_replaced) << "interval " << i;
-  EXPECT_EQ(a.failed_migrations, b.failed_migrations) << "interval " << i;
-  EXPECT_EQ(a.sleeping_servers, b.sleeping_servers) << "interval " << i;
-  EXPECT_EQ(a.parked_servers, b.parked_servers) << "interval " << i;
-  EXPECT_EQ(a.deep_sleeping_servers, b.deep_sleeping_servers) << "interval " << i;
-  EXPECT_EQ(a.failed_servers, b.failed_servers) << "interval " << i;
-  EXPECT_EQ(a.regimes, b.regimes) << "interval " << i;
-  EXPECT_DOUBLE_EQ(a.unserved_demand, b.unserved_demand) << "interval " << i;
-  EXPECT_DOUBLE_EQ(a.interval_energy.value, b.interval_energy.value)
-      << "interval " << i;
+/// A random map of `servers` onto `sides` groups (not contiguous ranges, so
+/// the per-side axes see interleaved ids).
+std::vector<std::int32_t> random_groups(common::Rng& rng, std::size_t servers,
+                                        std::size_t sides) {
+  std::vector<std::int32_t> groups(servers);
+  for (auto& g : groups) {
+    g = static_cast<std::int32_t>(rng.index(sides));
+  }
+  return groups;
 }
 
-TEST(RegimeIndex, FullRunBitIdenticalToLegacyScans) {
-  for (std::uint64_t seed : {13u, 99u}) {
-    Cluster indexed(base_config(seed, /*indexed=*/true));
-    Cluster legacy(base_config(seed, /*indexed=*/false));
-    for (std::size_t i = 0; i < 80; ++i) {
-      const auto ra = indexed.step();
-      const auto rb = legacy.step();
-      expect_reports_equal(ra, rb, i);
+TEST(RegimeIndex, SideSearchesMatchFilteredScansThroughSplitChurnAndHeal) {
+  // Randomized split / churn / heal schedules: two- and three-way splits
+  // over interleaved id sets, crashes and injections on every side, heals
+  // and the reconciliation round after them.  Every search is compared on
+  // every side mid-phase (after churn, before the round flushes) and after
+  // each round, and the index audits itself after every step.
+  std::size_t splits = 0;
+  std::size_t drains = 0;
+  for (const std::uint64_t seed : {5u, 17u, 29u, 41u}) {
+    common::Rng script(seed * 31);
+    Cluster c(base_config(seed, 64));
+    for (int round = 0; round < 36; ++round) {
+      const std::string where =
+          "seed " + std::to_string(seed) + " round " + std::to_string(round);
+      if (!c.membership().partitioned() && !c.reconcile_pending() &&
+          script.bernoulli(0.3)) {
+        const std::size_t sides = 2 + script.index(2);
+        if (c.begin_partition(random_groups(script, c.size(), sides)) >= 0) {
+          ++splits;
+        }
+      } else if (c.membership().partitioned() && !c.reconcile_pending() &&
+                 script.bernoulli(0.25)) {
+        c.heal_partition();
+      }
+      churn(c, round);
+      drains += expect_searches_match_scans(c, where + " mid-phase");
+      auto err = c.regime_index().self_check();
+      ASSERT_FALSE(err.has_value()) << where << ": " << *err;
+      c.step();
+      drains += expect_searches_match_scans(c, where);
+      err = c.regime_index().self_check();
+      ASSERT_FALSE(err.has_value()) << where << ": " << *err;
     }
-    EXPECT_DOUBLE_EQ(indexed.total_demand(), legacy.total_demand());
-    EXPECT_DOUBLE_EQ(indexed.total_energy().value, legacy.total_energy().value);
-    EXPECT_EQ(indexed.total_vms(), legacy.total_vms());
-    EXPECT_EQ(indexed.message_stats().total(),
-              legacy.message_stats().total());
+  }
+  EXPECT_GT(splits, 4U);
+  EXPECT_GT(drains, 1000U);
+}
+
+// The digests below were recorded from the parent revision that still had
+// the full-scan protocol path: the indexed run and the scan run of each
+// seed produced the same value.
+
+TEST(RegimeIndex, FullRunBitIdenticalToLegacyScans) {
+  const std::pair<std::uint64_t, std::uint64_t> pinned[] = {
+      {13u, 0xc6487890069db19fULL}, {99u, 0x3c0933e643bd942fULL}};
+  for (const auto& [seed, want] : pinned) {
+    Cluster c(base_config(seed));
+    testing::RunDigest digest;
+    for (std::size_t i = 0; i < 80; ++i) digest.add_report(c.step());
+    digest.add_double(c.total_demand());
+    digest.add_double(c.total_energy().value);
+    digest.add_u64(c.total_vms());
+    digest.add_u64(c.message_stats().total());
+    EXPECT_EQ(digest.value(), want) << "seed " << seed;
   }
 }
 
@@ -260,22 +303,69 @@ fault::FaultPlan stress_plan() {
 }
 
 TEST(RegimeIndex, FullRunBitIdenticalToLegacyScansUnderFaultPlan) {
-  Cluster indexed(base_config(21, /*indexed=*/true));
-  Cluster legacy(base_config(21, /*indexed=*/false));
-  fault::FaultInjector fi(indexed, stress_plan());
-  fault::FaultInjector fl(legacy, stress_plan());
+  Cluster c(base_config(21));
+  fault::FaultInjector injector(c, stress_plan());
+  testing::RunDigest digest;
   for (std::size_t i = 0; i < 40; ++i) {
-    const auto ra = indexed.step();
-    const auto rb = legacy.step();
-    expect_reports_equal(ra, rb, i);
-    if (indexed.regime_index() != nullptr) {
-      const auto err = indexed.regime_index()->self_check();
-      ASSERT_FALSE(err.has_value()) << "interval " << i << ": " << *err;
-    }
+    digest.add_report(c.step());
+    const auto err = c.regime_index().self_check();
+    ASSERT_FALSE(err.has_value()) << "interval " << i << ": " << *err;
   }
-  EXPECT_DOUBLE_EQ(indexed.total_energy().value, legacy.total_energy().value);
-  EXPECT_EQ(fi.stats().crashes, fl.stats().crashes);
-  EXPECT_EQ(fi.stats().failovers, fl.stats().failovers);
+  digest.add_double(c.total_energy().value);
+  digest.add_u64(injector.stats().crashes);
+  digest.add_u64(injector.stats().failovers);
+  EXPECT_EQ(digest.value(), 0x263869ca8f7259b0ULL);
+}
+
+TEST(RegimeIndex, PartitionedRunMatchesRecordedScanPath) {
+  // Two splits -- the first with the larger group 1 as the quorum, the
+  // second with group 0 -- each with a crash and a heal, over a wide load
+  // spread so draining (R1 donors) and shedding (R4/R5) both run while
+  // split, with and without shadow restarts (without them the quorum keeps
+  // its light servers, so consolidation runs on its side).  The digests
+  // were recorded from the parent revision, which served every search of a
+  // split cluster with side-filtered scans (its full-scan mode gave the
+  // same values); the per-side axes must reproduce them.
+  struct Pinned {
+    std::uint64_t seed;
+    bool shadow_restart;
+    std::uint64_t digest;
+  };
+  const Pinned pinned[] = {{8u, true, 0x822bdbfb8ef82273ULL},
+                           {64u, true, 0x2bab35dde9b3cc77ULL},
+                           {8u, false, 0xad513da59f998d47ULL},
+                           {64u, false, 0x8e24c12587dcd441ULL}};
+  const auto split = [](std::size_t cut) {
+    std::vector<std::vector<ServerId>> groups(2);
+    for (std::uint64_t i = 0; i < 60; ++i) {
+      groups[i < cut ? 0 : 1].push_back(ServerId{i});
+    }
+    return groups;
+  };
+  for (const auto& [seed, shadow_restart, want] : pinned) {
+    ClusterConfig cfg = base_config(seed);
+    cfg.initial_load_min = 0.1;
+    cfg.initial_load_max = 0.85;
+    cfg.partition_shadow_restart = shadow_restart;
+    Cluster c(cfg);
+    fault::FaultPlan plan;
+    plan.partition(Seconds{90.0}, split(20), Seconds{630.0})
+        .crash(Seconds{200.0}, ServerId{5})
+        .partition(Seconds{930.0}, split(45), Seconds{1500.0})
+        .crash(Seconds{1100.0}, ServerId{50});
+    fault::FaultInjector injector(c, plan);
+    testing::RunDigest digest;
+    for (std::size_t i = 0; i < 30; ++i) digest.add_report(c.step());
+    digest.add_double(c.total_energy().value);
+    digest.add_u64(c.total_vms());
+    digest.add_u64(injector.stats().shadow_restarts);
+    digest.add_u64(injector.stats().duplicates_resolved);
+    digest.add_u64(injector.stats().orphans_adopted);
+    digest.add_u64(c.message_stats().total());
+    EXPECT_EQ(digest.value(), want)
+        << "seed " << seed << " shadow restart " << shadow_restart;
+    EXPECT_EQ(c.self_audit(), std::nullopt) << "seed " << seed;
+  }
 }
 
 }  // namespace

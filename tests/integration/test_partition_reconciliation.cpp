@@ -93,6 +93,38 @@ TEST(PartitionReconciliation, LostOriginalsAreCoveredByAdoptedShadows) {
   EXPECT_EQ(c.self_audit(), std::nullopt);
 }
 
+TEST(PartitionReconciliation, TenThousandServersSplitAndHealStaySound) {
+  // The same invariants at scale: a 10^4-server cluster split in half, with
+  // a minority host crashing mid-split.  Every round of the split is served
+  // by the regime index's per-side axes (self_audit re-derives them from
+  // scratch), and the heal converges like the small cases.
+  constexpr std::size_t kServers = 10000;
+  cluster::Cluster c(base_config(19, kServers));
+  FaultPlan plan;
+  plan.partition(Seconds{90.0}, split_at(kServers, 5000), Seconds{390.0})
+      .crash(Seconds{150.0}, ServerId{7500});
+  FaultInjector injector(c, plan);
+
+  c.step();  // t = 60: whole
+  c.step();  // t = 120: split at 90
+  ASSERT_TRUE(c.membership().partitioned());
+  const std::size_t shadows = injector.stats().shadow_restarts;
+  EXPECT_GT(shadows, 0U);
+  EXPECT_EQ(c.self_audit(), std::nullopt);
+
+  for (int i = 0; i < 6; ++i) c.step();  // crash 150, heal 390, reconcile 420
+  EXPECT_FALSE(c.membership().partitioned());
+  EXPECT_FALSE(c.reconcile_pending());
+  EXPECT_EQ(c.membership().side_count(), 1U);
+  EXPECT_EQ(c.membership().side(0).epoch, c.membership().highest_epoch());
+  EXPECT_EQ(injector.stats().heals, 1U);
+  EXPECT_GT(injector.stats().duplicates_resolved, 0U);
+  EXPECT_LE(injector.stats().duplicates_resolved +
+                injector.stats().orphans_adopted,
+            shadows);
+  EXPECT_EQ(c.self_audit(), std::nullopt);
+}
+
 TEST(PartitionReconciliation, MinorityPlacementsAreFrozenWhileSplit) {
   // Degraded mode: without crashes, a minority side's VM set cannot change
   // while the fabric is split -- no migrations in, none out, no horizontal

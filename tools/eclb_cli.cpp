@@ -15,6 +15,7 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "analytic/homogeneous_model.h"
@@ -43,7 +44,7 @@ int usage() {
       "\n"
       "commands:\n"
       "  cluster   --servers N --load 30|70 --intervals K --seed S [--tau SEC]\n"
-      "            [--no-sleep] [--no-rebalance] [--legacy-scan] [--eager-notify]\n"
+      "            [--no-sleep] [--no-rebalance]\n"
       "            [--faults SPEC]\n"
       "            [--shards M] [--fabric-threads T]\n"
       "            [--trace DIR] [--metrics FILE] [--profile] [--mem-stats]\n"
@@ -58,10 +59,7 @@ int usage() {
       "            wall-clock phase table to stderr, --mem-stats prints peak\n"
       "            RSS and the data-plane memory breakdown (state table,\n"
       "            regime index, per-server bytes) plus the notification\n"
-      "            pipeline counters; --eager-notify applies every index\n"
-      "            update at its notification instead of coalescing per\n"
-      "            phase (bit-identical by contract; the flag exists to\n"
-      "            prove it); --faults injects a\n"
+      "            pipeline counters; --faults injects a\n"
       "            deterministic fault schedule, e.g.\n"
       "            \"leader@1200;loss@0:p=0.05;crash@600:s=3;seed=9\" or\n"
       "            \"part@600:g=0-49|50-99,heal=1800\"\n"
@@ -220,77 +218,178 @@ void print_sla_trailer(const experiment::SlaSummary& s) {
                s.p99, s.p999);
 }
 
-/// The fabric variant of the cluster command (--shards >= 2): same flag
-/// surface, per-shard fault streams and traces, fabric-aggregated CSV rows.
-int cmd_cluster_fabric(common::Flags& flags, std::size_t shards) {
-  const auto servers = static_cast<std::size_t>(flags.get_int("servers", 100));
+/// Everything the cluster command reads from its flags, shared by the
+/// single-cluster and the fabric paths.
+struct ClusterRun {
+  std::size_t servers{0};          ///< Fleet total (split across shards).
+  std::size_t intervals{0};
+  std::uint64_t seed{0};
+  cluster::ClusterConfig config;   ///< One cluster, or the shard template.
+  std::optional<fault::FaultPlan> plan;
+  std::optional<workload::engine::RequestWorkloadConfig> requests;
+};
+
+/// Parses the cluster flag surface for a run on `shards` clusters.  Returns
+/// 0 on success, 2 on a bad value (already reported to stderr).
+int parse_cluster_run(common::Flags& flags, std::size_t shards,
+                      ClusterRun* run) {
+  run->servers = static_cast<std::size_t>(flags.get_int("servers", 100));
   const long long load = flags.get_int("load", 30);
-  const auto intervals = static_cast<std::size_t>(flags.get_int("intervals", 40));
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
-  if (servers < shards || servers % shards != 0) {
-    std::cerr << "--servers (" << servers << ") must be a positive multiple"
-              << " of --shards (" << shards << ")\n";
+  run->intervals = static_cast<std::size_t>(flags.get_int("intervals", 40));
+  run->seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
+  if (shards >= 2 && (run->servers < shards || run->servers % shards != 0)) {
+    std::cerr << "--servers (" << run->servers << ") must be a positive"
+              << " multiple of --shards (" << shards << ")\n";
     return 2;
   }
-
-  cluster::FabricConfig fcfg;
-  fcfg.shard_count = shards;
-  fcfg.threads = static_cast<std::size_t>(flags.get_int("fabric-threads", 1));
-  fcfg.cluster_template = experiment::paper_cluster_config(
-      servers / shards,
+  cluster::ClusterConfig& cfg = run->config;
+  cfg = experiment::paper_cluster_config(
+      run->servers / shards,
       load >= 50 ? experiment::AverageLoad::kHigh70
                  : experiment::AverageLoad::kLow30,
-      seed);
-  fcfg.cluster_template.reallocation_interval =
-      common::Seconds{flags.get_double("tau", 60.0)};
-  if (flags.get_bool("no-sleep")) fcfg.cluster_template.allow_sleep = false;
-  if (flags.get_bool("no-rebalance")) {
-    fcfg.cluster_template.rebalance_enabled = false;
-  }
-  if (flags.get_bool("legacy-scan")) {
-    fcfg.cluster_template.use_regime_index = false;
-  }
-  if (flags.get_bool("eager-notify")) {
-    fcfg.cluster_template.coalesce_notifications = false;
-  }
+      run->seed);
+  cfg.reallocation_interval = common::Seconds{flags.get_double("tau", 60.0)};
+  if (flags.get_bool("no-sleep")) cfg.allow_sleep = false;
+  if (flags.get_bool("no-rebalance")) cfg.rebalance_enabled = false;
 
-  std::optional<fault::FaultPlan> plan;
   if (flags.has("faults")) {
     std::string error;
-    plan = fault::FaultPlan::parse(flags.get("faults"), &error);
-    if (!plan.has_value()) {
+    run->plan = fault::FaultPlan::parse(flags.get("faults"), &error);
+    if (!run->plan.has_value()) {
       std::cerr << "--faults: " << error << "\n";
       return 2;
     }
   }
-
-  std::optional<workload::engine::RequestWorkloadConfig> requests;
-  if (const int rc = parse_request_flags(flags, &requests); rc != 0) return rc;
-  if (const int rc = apply_resilience_flags(flags, &requests); rc != 0) {
+  if (const int rc = parse_request_flags(flags, &run->requests); rc != 0) {
     return rc;
   }
-  if (flags.get_bool("hysteresis")) {
-    fcfg.cluster_template.hysteresis.enabled = true;
+  if (const int rc = apply_resilience_flags(flags, &run->requests); rc != 0) {
+    return rc;
   }
-  if (requests.has_value()) {
-    fcfg.cluster_template.demand_evolution_enabled = false;
-  }
+  if (flags.get_bool("hysteresis")) cfg.hysteresis.enabled = true;
+  if (run->requests.has_value()) cfg.demand_evolution_enabled = false;
+  return 0;
+}
 
+/// The fault-injection trailer (stderr): crash and message counters, plus
+/// the partition line when the plan split the fabric.
+void print_resilience_trailer(const char* label,
+                              const fault::ResilienceStats& st) {
+  std::cerr << label << ": " << st.crashes << " crashes, " << st.recoveries
+            << " recoveries, " << st.failovers << " failovers, "
+            << st.dropped_messages << " dropped, " << st.retried_messages
+            << " retried, " << st.migration_failures
+            << " failed migrations, MTTR " << st.mttr() << " s\n";
+  if (st.partitions > 0) {
+    std::cerr << "partitions: " << st.partitions << " splits, " << st.heals
+              << " heals, " << st.fenced_commands << " fenced commands, "
+              << st.shadow_restarts << " shadow restarts, "
+              << st.duplicates_resolved << " duplicates resolved, "
+              << st.orphans_adopted << " orphans adopted, heal convergence "
+              << (st.heal_convergence.count() > 0 ? st.heal_convergence.mean()
+                                                  : 0.0)
+              << " s\n";
+  }
+}
+
+/// Observability sinks wired from --trace, --metrics and --profile.
+/// `config` points at the registry and profiler, so the sinks stay put.
+struct ObsSinks {
   obs::MetricsRegistry registry;
   obs::Profiler profiler;
-  obs::ObsConfig obs_cfg;
-  obs_cfg.trace_dir = flags.get("trace");
-  const std::string metrics_file = flags.get("metrics");
-  if (!metrics_file.empty()) obs_cfg.metrics = &registry;
-  if (flags.get_bool("profile")) obs_cfg.profiler = &profiler;
+  obs::ObsConfig config;
+  std::string metrics_file;
+
+  explicit ObsSinks(common::Flags& flags)
+      : metrics_file(flags.get("metrics")) {
+    config.trace_dir = flags.get("trace");
+    if (!metrics_file.empty()) config.metrics = &registry;
+    if (flags.get_bool("profile")) config.profiler = &profiler;
+  }
+  ObsSinks(const ObsSinks&) = delete;
+  ObsSinks& operator=(const ObsSinks&) = delete;
+};
+
+/// The --mem-stats trailer (stderr): the data-plane footprint summed over
+/// `clusters` (one per shard) and peak RSS.
+void print_memory_trailer(const std::vector<const cluster::Cluster*>& clusters) {
+  cluster::ClusterMemoryStats m;
+  std::size_t servers = 0;
+  for (const cluster::Cluster* c : clusters) {
+    const auto s = c->memory_stats();
+    m.state_table_bytes += s.state_table_bytes;
+    m.index_bytes += s.index_bytes;
+    m.server_objects_bytes += s.server_objects_bytes;
+    m.vm_storage_bytes += s.vm_storage_bytes;
+    m.recorder_bytes += s.recorder_bytes;
+    m.total_bytes += s.total_bytes;
+    servers += c->size();
+  }
+  m.bytes_per_server =
+      servers == 0 ? 0.0
+                   : static_cast<double>(m.total_bytes) /
+                         static_cast<double>(servers);
+  std::cerr << "memory: state table " << m.state_table_bytes
+            << " B, regime index " << m.index_bytes << " B, server objects "
+            << m.server_objects_bytes << " B, vm storage "
+            << m.vm_storage_bytes << " B, recorder " << m.recorder_bytes
+            << " B\n"
+            << "memory: total " << m.total_bytes << " B ("
+            << m.bytes_per_server << " B/server)";
+  if (const auto rss = common::peak_rss_bytes(); rss > 0) {
+    std::cerr << ", peak RSS " << rss << " B";
+  }
+  std::cerr << "\n";
+}
+
+/// The end-of-run tail both cluster paths share: pipeline counters into
+/// --metrics, the --profile table and the --mem-stats trailer, over
+/// `clusters` (one per shard).  Returns 2 when the metrics file cannot be
+/// written.
+int finish_cluster_run(common::Flags& flags, ObsSinks& sinks,
+                       const std::vector<const cluster::Cluster*>& clusters) {
+  cluster::index::PipelineStats pstats;
+  for (const cluster::Cluster* c : clusters) pstats += c->pipeline_stats();
+  if (!sinks.metrics_file.empty()) {
+    record_pipeline_metrics(sinks.registry, pstats);
+    if (!sinks.registry.write_json_file(sinks.metrics_file)) {
+      std::cerr << "could not write metrics file: " << sinks.metrics_file
+                << "\n";
+      return 2;
+    }
+  }
+  const bool profiled = sinks.config.profiler != nullptr;
+  if (profiled) {
+    sinks.profiler.write(std::cerr);
+    print_pipeline_stats(pstats, /*timed=*/true);
+  }
+  if (flags.get_bool("mem-stats")) {
+    print_memory_trailer(clusters);
+    // --profile already printed the (timed) pipeline trailer above.
+    if (!profiled) print_pipeline_stats(pstats, /*timed=*/false);
+  }
+  return 0;
+}
+
+/// The fabric variant of the cluster command (--shards >= 2): same flag
+/// surface, per-shard fault streams and traces, fabric-aggregated CSV rows.
+int cmd_cluster_fabric(common::Flags& flags, std::size_t shards) {
+  ClusterRun run;
+  if (const int rc = parse_cluster_run(flags, shards, &run); rc != 0) return rc;
+
+  cluster::FabricConfig fcfg;
+  fcfg.shard_count = shards;
+  fcfg.threads = static_cast<std::size_t>(flags.get_int("fabric-threads", 1));
+  fcfg.cluster_template = run.config;
+  ObsSinks sinks(flags);
 
   cluster::Fabric fabric(fcfg);
   if (flags.get_bool("profile")) fabric.set_pipeline_phase_timing(true);
   std::optional<fault::FabricFaultSession> faults;
-  if (plan.has_value()) faults.emplace(fabric, *plan);
+  if (run.plan.has_value()) faults.emplace(fabric, *run.plan);
   std::optional<experiment::FabricRequestSession> session;
-  if (requests.has_value()) {
-    session.emplace(fabric, *requests);
+  if (run.requests.has_value()) {
+    session.emplace(fabric, *run.requests);
     if (!session->ok()) {
       std::cerr << "--requests: " << session->error() << "\n";
       return 2;
@@ -301,7 +400,7 @@ int cmd_cluster_fabric(common::Flags& flags, std::size_t shards) {
   // and profiler are thread-safe and shared across all of them.
   std::vector<std::unique_ptr<obs::ClusterProbe>> probes;
   for (std::size_t i = 0; i < fabric.size(); ++i) {
-    auto probe = obs::ClusterProbe::make_shard(obs_cfg, seed, i);
+    auto probe = obs::ClusterProbe::make_shard(sinks.config, run.seed, i);
     if (probe == nullptr) break;
     if (probe->trace() != nullptr && !probe->trace()->ok()) {
       std::cerr << "could not open trace file: " << probe->trace()->path()
@@ -317,7 +416,7 @@ int cmd_cluster_fabric(common::Flags& flags, std::size_t shards) {
                          "migrations", "sleeps", "wakes", "parked",
                          "deep_sleeping", "sla_violations", "offloaded",
                          "unplaced", "energy_kwh"});
-  for (std::size_t i = 0; i < intervals; ++i) {
+  for (std::size_t i = 0; i < run.intervals; ++i) {
     if (session.has_value()) session->advance_interval();
     const auto r = fabric.step();
     std::size_t migrations = 0;
@@ -353,21 +452,19 @@ int cmd_cluster_fabric(common::Flags& flags, std::size_t shards) {
   }
 
   std::size_t messages = 0;
+  std::vector<const cluster::Cluster*> clusters;
   for (std::size_t i = 0; i < fabric.size(); ++i) {
     messages += fabric.cluster(i).message_stats().total();
+    clusters.push_back(&fabric.cluster(i));
   }
-  std::cerr << "fabric: " << shards << " shards x " << servers / shards
+  std::cerr << "fabric: " << shards << " shards x " << run.servers / shards
             << " servers, " << fcfg.threads << " thread"
             << (fcfg.threads == 1 ? "" : "s") << "\n"
             << "total energy: " << fabric.total_energy().kwh() << " kWh, "
             << messages << " control messages\n";
   if (faults.has_value()) {
-    const auto st = faults->combined_stats();
-    std::cerr << "resilience (all shards): " << st.crashes << " crashes, "
-              << st.recoveries << " recoveries, " << st.failovers
-              << " failovers, " << st.dropped_messages << " dropped, "
-              << st.retried_messages << " retried, " << st.migration_failures
-              << " failed migrations, MTTR " << st.mttr() << " s\n";
+    print_resilience_trailer("resilience (all shards)",
+                             faults->combined_stats());
   }
   if (session.has_value()) print_sla_trailer(session->summary());
   for (const auto& probe : probes) {
@@ -375,75 +472,26 @@ int cmd_cluster_fabric(common::Flags& flags, std::size_t shards) {
       std::cerr << "trace: " << probe->trace()->path() << "\n";
     }
   }
-  const auto pstats = fabric.pipeline_stats();
-  if (!metrics_file.empty()) record_pipeline_metrics(registry, pstats);
-  if (!metrics_file.empty() && !registry.write_json_file(metrics_file)) {
-    std::cerr << "could not write metrics file: " << metrics_file << "\n";
-    return 2;
-  }
-  if (obs_cfg.profiler != nullptr) {
-    profiler.write(std::cerr);
-    print_pipeline_stats(pstats, /*timed=*/true);
-  }
-  return 0;
+  return finish_cluster_run(flags, sinks, clusters);
 }
 
 int cmd_cluster(common::Flags& flags) {
   const auto shards = static_cast<std::size_t>(flags.get_int("shards", 1));
   if (shards >= 2) return cmd_cluster_fabric(flags, shards);
-  const auto servers = static_cast<std::size_t>(flags.get_int("servers", 100));
-  const long long load = flags.get_int("load", 30);
-  const auto intervals = static_cast<std::size_t>(flags.get_int("intervals", 40));
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
-  auto cfg = experiment::paper_cluster_config(
-      servers,
-      load >= 50 ? experiment::AverageLoad::kHigh70
-                 : experiment::AverageLoad::kLow30,
-      seed);
-  cfg.reallocation_interval = common::Seconds{flags.get_double("tau", 60.0)};
-  if (flags.get_bool("no-sleep")) cfg.allow_sleep = false;
-  if (flags.get_bool("no-rebalance")) cfg.rebalance_enabled = false;
-  // Differential escape hatch: run the legacy full-scan protocol path (the
-  // output is bit-identical by contract; the flag exists to prove it).
-  if (flags.get_bool("legacy-scan")) cfg.use_regime_index = false;
-  // Eager-notify escape hatch: apply every index update at its notification
-  // instead of coalescing per protocol phase (same bit-identity contract).
-  if (flags.get_bool("eager-notify")) cfg.coalesce_notifications = false;
+  ClusterRun run;
+  if (const int rc = parse_cluster_run(flags, 1, &run); rc != 0) return rc;
 
-  std::optional<fault::FaultPlan> plan;
-  if (flags.has("faults")) {
-    std::string error;
-    plan = fault::FaultPlan::parse(flags.get("faults"), &error);
-    if (!plan.has_value()) {
-      std::cerr << "--faults: " << error << "\n";
-      return 2;
-    }
-  }
+  ObsSinks sinks(flags);
+  const auto probe =
+      obs::ClusterProbe::make(sinks.config, run.seed, /*replication=*/0);
 
-  std::optional<workload::engine::RequestWorkloadConfig> requests;
-  if (const int rc = parse_request_flags(flags, &requests); rc != 0) return rc;
-  if (const int rc = apply_resilience_flags(flags, &requests); rc != 0) {
-    return rc;
-  }
-  if (flags.get_bool("hysteresis")) cfg.hysteresis.enabled = true;
-  if (requests.has_value()) cfg.demand_evolution_enabled = false;
-
-  obs::MetricsRegistry registry;
-  obs::Profiler profiler;
-  obs::ObsConfig obs_cfg;
-  obs_cfg.trace_dir = flags.get("trace");
-  const std::string metrics_file = flags.get("metrics");
-  if (!metrics_file.empty()) obs_cfg.metrics = &registry;
-  if (flags.get_bool("profile")) obs_cfg.profiler = &profiler;
-  const auto probe = obs::ClusterProbe::make(obs_cfg, seed, /*replication=*/0);
-
-  cluster::Cluster cluster(cfg);
+  cluster::Cluster cluster(run.config);
   if (flags.get_bool("profile")) cluster.set_pipeline_phase_timing(true);
   std::optional<fault::FaultInjector> injector;
-  if (plan.has_value()) injector.emplace(cluster, *plan);
+  if (run.plan.has_value()) injector.emplace(cluster, *run.plan);
   std::optional<experiment::RequestDriver> rdriver;
-  if (requests.has_value()) {
-    rdriver.emplace(cluster, *requests);
+  if (run.requests.has_value()) {
+    rdriver.emplace(cluster, *run.requests);
     if (!rdriver->ok()) {
       std::cerr << "--requests: " << rdriver->error() << "\n";
       return 2;
@@ -461,7 +509,7 @@ int cmd_cluster(common::Flags& flags) {
                         {"interval", "local", "in_cluster", "ratio", "migrations",
                          "sleeps", "wakes", "parked", "deep_sleeping",
                          "sla_violations", "energy_kwh"});
-  for (std::size_t i = 0; i < intervals; ++i) {
+  for (std::size_t i = 0; i < run.intervals; ++i) {
     if (rdriver.has_value()) rdriver->advance_interval();
     const auto r = cluster.step();
     csv.row({common::CsvWriter::cell(static_cast<long long>(r.interval_index)),
@@ -479,55 +527,13 @@ int cmd_cluster(common::Flags& flags) {
   std::cerr << "total energy: " << cluster.total_energy().kwh() << " kWh, "
             << cluster.message_stats().total() << " control messages\n";
   if (injector.has_value()) {
-    const auto& st = injector->stats();
-    std::cerr << "resilience: " << st.crashes << " crashes, " << st.recoveries
-              << " recoveries, " << st.failovers << " failovers, "
-              << st.dropped_messages << " dropped, " << st.retried_messages
-              << " retried, " << st.migration_failures
-              << " failed migrations, MTTR " << st.mttr() << " s\n";
-    if (st.partitions > 0) {
-      std::cerr << "partitions: " << st.partitions << " splits, " << st.heals
-                << " heals, " << st.fenced_commands << " fenced commands, "
-                << st.shadow_restarts << " shadow restarts, "
-                << st.duplicates_resolved << " duplicates resolved, "
-                << st.orphans_adopted << " orphans adopted, heal convergence "
-                << (st.heal_convergence.count() > 0
-                        ? st.heal_convergence.mean()
-                        : 0.0)
-                << " s\n";
-    }
+    print_resilience_trailer("resilience", injector->stats());
   }
   if (rdriver.has_value()) print_sla_trailer(rdriver->summary());
   if (probe != nullptr && probe->trace() != nullptr) {
     std::cerr << "trace: " << probe->trace()->path() << "\n";
   }
-  const auto pstats = cluster.pipeline_stats();
-  if (!metrics_file.empty()) record_pipeline_metrics(registry, pstats);
-  if (!metrics_file.empty() && !registry.write_json_file(metrics_file)) {
-    std::cerr << "could not write metrics file: " << metrics_file << "\n";
-    return 2;
-  }
-  if (obs_cfg.profiler != nullptr) {
-    profiler.write(std::cerr);
-    print_pipeline_stats(pstats, /*timed=*/true);
-  }
-  if (flags.get_bool("mem-stats")) {
-    const auto m = cluster.memory_stats();
-    std::cerr << "memory: state table " << m.state_table_bytes
-              << " B, regime index " << m.index_bytes << " B, server objects "
-              << m.server_objects_bytes << " B, vm storage "
-              << m.vm_storage_bytes << " B, recorder " << m.recorder_bytes
-              << " B\n"
-              << "memory: total " << m.total_bytes << " B ("
-              << m.bytes_per_server << " B/server)";
-    if (const auto rss = common::peak_rss_bytes(); rss > 0) {
-      std::cerr << ", peak RSS " << rss << " B";
-    }
-    std::cerr << "\n";
-    // --profile already printed the (timed) pipeline trailer above.
-    if (obs_cfg.profiler == nullptr) print_pipeline_stats(pstats, false);
-  }
-  return 0;
+  return finish_cluster_run(flags, sinks, {&cluster});
 }
 
 std::unique_ptr<policy::CapacityPolicy> make_policy(const std::string& name) {
@@ -658,18 +664,36 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   auto flags = common::Flags::parse(argc - 1, argv + 1);
 
-  int rc;
+  // Each subcommand names the flags it reads; anything else is a typo (or a
+  // retired flag) and is rejected rather than silently ignored.
+  int (*run)(common::Flags&) = nullptr;
+  std::vector<std::string> known;
   if (command == "cluster") {
-    rc = cmd_cluster(flags);
+    run = cmd_cluster;
+    known = {"servers", "load", "intervals", "seed", "tau", "no-sleep",
+             "no-rebalance", "faults", "shards", "fabric-threads", "trace",
+             "metrics", "profile", "mem-stats", "requests", "request-trace",
+             "admission", "admission-cap", "admission-budget",
+             "drain-intervals", "hysteresis"};
   } else if (command == "farm") {
-    rc = cmd_farm(flags);
+    run = cmd_farm;
+    known = {"policy", "workload", "trace", "servers", "hours", "sleep-state",
+             "seed"};
   } else if (command == "migrate") {
-    rc = cmd_migrate(flags);
+    run = cmd_migrate;
+    known = {"ram", "dirty", "image", "bandwidth"};
   } else if (command == "model") {
-    rc = cmd_model(flags);
+    run = cmd_model;
+    known = {"n", "a-avg", "b-avg", "a-opt", "b-opt"};
   } else {
     return usage();
   }
+  if (const auto bad = flags.unknown(known); !bad.empty()) {
+    std::cerr << "eclb_cli " << command << ": unknown flag --" << bad.front()
+              << "\n";
+    return 2;
+  }
+  const int rc = run(flags);
   for (const auto& err : flags.errors()) {
     std::cerr << "warning: " << err << "\n";
   }

@@ -12,13 +12,16 @@
 // of the same cluster; times the sharded fabric (10 x 100 anchor, 100 x 1000
 // = 1e5-server scale point) and smoke-checks its thread-count determinism;
 // measures steady-state event-queue throughput with a global allocation
-// counter; and emits the results as BENCH_perf.json (schema
+// counter; runs the request-driven fabric (request plane + fabric step) at
+// 1/2/4 threads, reporting ms/interval, completed requests/s and the request
+// plane's allocations per interval, and checks that all three replay the
+// same run; and emits the results as BENCH_perf.json (schema
 // "eclb-perf-3").  With --check <reference.json> it gates the measured
 // search speedups at half the recorded reference, the partition factor at
 // 1.25x the recorded value, the SoA data plane's bytes-per-server footprint
 // at 1.5x the recorded value, the fabric overhead ratio at half the
-// recorded figure, and search agreement and fabric determinism hard -- the
-// CI perf smoke gate.
+// recorded figure, and search agreement, fabric determinism and the
+// request-driven fabric's determinism hard -- the CI perf smoke gate.
 //
 // Usage:
 //   perf_kernel [--ci] [--tiny] [--full] [--phases] [--out BENCH_perf.json]
@@ -442,6 +445,107 @@ RequestSample time_request_engine(std::size_t target_requests) {
   return s;
 }
 
+// --- request-driven fabric --------------------------------------------------
+
+struct RequestFabricSample {
+  std::size_t shards{0};
+  std::size_t servers_per_shard{0};
+  double rate{0.0};                 ///< Offered requests/second, fabric-wide.
+  std::size_t threads{0};
+  std::size_t resolved_threads{0};
+  std::size_t intervals{0};
+  double ms_per_interval{0.0};      ///< Median of request advance + step.
+  double completed_per_sec{0.0};    ///< Completions over timed wall time.
+  /// operator-new calls inside FabricRequestSession::advance_interval() per
+  /// timed interval.  At 1 thread this is the request plane's own steady-
+  /// state allocation rate; above 1 it also counts the pool's per-task
+  /// bookkeeping.
+  double allocs_per_interval{0.0};
+  std::uint64_t digest{0};  ///< Every report, the end state and the SLA summary.
+};
+
+/// The end-to-end request-driven fabric: `shards` x `servers_per_shard`
+/// servers under a Poisson stream at `rate`, each interval one
+/// FabricRequestSession::advance_interval() plus one Fabric::step(), the
+/// way the request plane runs in every fabric surface.  The digest chains
+/// every interval's report digest, the end state and the SLA summary, so
+/// runs at different thread counts must match exactly.
+RequestFabricSample time_request_fabric(std::size_t shards,
+                                        std::size_t servers_per_shard,
+                                        double rate, std::size_t threads,
+                                        std::size_t timed) {
+  cluster::FabricConfig cfg = fabric_config(shards, servers_per_shard, threads);
+  cfg.cluster_template.demand_evolution_enabled = false;
+  cluster::Fabric fabric(cfg);
+  std::string error;
+  const auto workload = workload::engine::RequestWorkloadConfig::parse(
+      "poisson:rate=" + std::to_string(rate) + ";seed=7", &error);
+  if (!workload.has_value()) {
+    std::fprintf(stderr, "request fabric spec: %s\n", error.c_str());
+    std::exit(2);
+  }
+  experiment::FabricRequestSession session(fabric, *workload);
+
+  std::uint64_t digest = 1469598103934665603ull;
+  auto fold = [&digest](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      digest ^= (v >> (8 * i)) & 0xffu;
+      digest *= 1099511628211ull;
+    }
+  };
+  constexpr std::size_t kWarmupIntervals = 8;
+  for (std::size_t i = 0; i < kWarmupIntervals; ++i) {
+    session.advance_interval();
+    fold(cluster::fabric_report_digest(fabric.step()));
+  }
+  const std::uint64_t completed_before = session.summary().completed;
+  std::vector<double> laps(timed);
+  std::size_t allocs = 0;
+  for (std::size_t i = 0; i < timed; ++i) {
+    const auto start = Clock::now();
+    const std::size_t allocs_before =
+        g_alloc_count.load(std::memory_order_relaxed);
+    session.advance_interval();
+    allocs += g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+    fold(cluster::fabric_report_digest(fabric.step()));
+    laps[i] = seconds_since(start);
+  }
+  double wall = 0.0;
+  for (const double lap : laps) wall += lap;
+  const experiment::SlaSummary summary = session.summary();
+  fold(fabric.state_digest());
+  fold(summary.digest());
+
+  std::sort(laps.begin(), laps.end());
+  RequestFabricSample s;
+  s.shards = shards;
+  s.servers_per_shard = servers_per_shard;
+  s.rate = rate;
+  s.threads = threads;
+  s.resolved_threads = fabric.resolved_threads();
+  s.intervals = timed;
+  s.ms_per_interval =
+      1e3 * ((timed % 2 != 0) ? laps[timed / 2]
+                              : 0.5 * (laps[timed / 2 - 1] + laps[timed / 2]));
+  s.completed_per_sec =
+      wall > 0.0
+          ? static_cast<double>(summary.completed - completed_before) / wall
+          : 0.0;
+  s.allocs_per_interval =
+      static_cast<double>(allocs) / static_cast<double>(timed);
+  s.digest = digest;
+  return s;
+}
+
+/// True when every sample of the sweep replayed the same run.
+bool request_fabric_deterministic(
+    const std::vector<RequestFabricSample>& samples) {
+  return std::all_of(samples.begin(), samples.end(),
+                     [&](const RequestFabricSample& s) {
+                       return s.digest == samples.front().digest;
+                     });
+}
+
 // --- sleep/wake hysteresis row ----------------------------------------------
 
 struct HysteresisSample {
@@ -588,6 +692,7 @@ std::string json_report(const std::vector<StepSample>& steps,
                         const std::vector<PhaseSample>& phases,
                         bool determinism_ok, const QueueSample& queue,
                         const RequestSample& requests,
+                        const std::vector<RequestFabricSample>& request_fabrics,
                         const HysteresisSample& hysteresis) {
   const common::SysInfo sys = common::query_sysinfo();
   std::ostringstream out;
@@ -650,6 +755,22 @@ std::string json_report(const std::vector<StepSample>& steps,
   }
   out << "  \"fabric_determinism\": "
       << (determinism_ok ? "true" : "false") << ",\n";
+  out << "  \"request_fabric\": [\n";
+  for (std::size_t i = 0; i < request_fabrics.size(); ++i) {
+    const auto& r = request_fabrics[i];
+    out << "    {\"shards\": " << r.shards << ", \"servers_per_shard\": "
+        << r.servers_per_shard << ", \"total_servers\": "
+        << r.shards * r.servers_per_shard << ", \"rate\": " << r.rate
+        << ", \"threads\": " << r.threads << ", \"resolved_threads\": "
+        << r.resolved_threads << ", \"intervals\": " << r.intervals
+        << ", \"ms_per_interval\": " << r.ms_per_interval
+        << ", \"completed_per_sec\": " << r.completed_per_sec
+        << ", \"allocs_per_interval\": " << r.allocs_per_interval << "}"
+        << (i + 1 < request_fabrics.size() ? "," : "") << "\n";
+  }
+  out << "  ],\n  \"request_fabric_determinism\": "
+      << (request_fabric_deterministic(request_fabrics) ? "true" : "false")
+      << ",\n";
   if (const auto scale = fabric_scale_1e6(fabrics); scale.has_value()) {
     out << "  \"fabric_scale_1e6\": " << *scale << ",\n";
   }
@@ -715,6 +836,7 @@ int check_against_reference(const std::string& ref_path,
                             const std::vector<FabricSample>& fabrics,
                             bool determinism_ok, const QueueSample& queue,
                             const RequestSample& requests,
+                            const std::vector<RequestFabricSample>& request_fabrics,
                             const HysteresisSample& hysteresis) {
   std::ifstream in(ref_path);
   if (!in) {
@@ -842,6 +964,20 @@ int check_against_reference(const std::string& ref_path,
       std::printf("ok: 1e6 fabric scaling %.2f (reference %.2f)\n",
                   *measured_scale, *ref_scale);
     }
+  }
+
+  // Request-fabric determinism gate: the request plane advances on the
+  // fabric's workers, so the run must replay bit-identically at every
+  // thread count of the sweep (hard fail, no reference needed).
+  if (!request_fabric_deterministic(request_fabrics)) {
+    std::fprintf(stderr,
+                 "FAIL: request-driven fabric replay diverged across thread "
+                 "counts\n");
+    ++failures;
+  } else {
+    std::printf("ok: request-driven fabric replay bit-identical at %zu "
+                "thread counts\n",
+                request_fabrics.size());
   }
 
   // Request engine gate: arrival generation throughput must stay within 2x
@@ -1018,6 +1154,33 @@ int main(int argc, char** argv) {
       time_request_engine(tiny ? 50000 : ci ? 200000 : 1000000);
   std::printf("  %.0f requests/s\n", requests.requests_per_sec);
 
+  // The request-driven fabric at 1, 2 and 4 threads: 10^5 servers at the
+  // per-server rate of the request_fabric benchmark workload (500/s per
+  // 10^4 servers), smaller in --ci / --tiny.
+  const std::size_t rf_shards = tiny ? 4 : ci ? 10 : 100;
+  const std::size_t rf_servers = tiny ? 25 : ci ? 100 : 1000;
+  const double rf_rate =
+      0.05 * static_cast<double>(rf_shards * rf_servers);
+  const std::size_t rf_timed = tiny ? 5 : ci ? 20 : 10;
+  std::vector<RequestFabricSample> request_fabrics;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    std::printf("request fabric: %zu x %zu servers, %.0f req/s, %zu "
+                "thread(s)...\n",
+                rf_shards, rf_servers, rf_rate, threads);
+    std::fflush(stdout);
+    request_fabrics.push_back(
+        time_request_fabric(rf_shards, rf_servers, rf_rate, threads, rf_timed));
+    const auto& r = request_fabrics.back();
+    std::printf("  %.3f ms/interval, %.0f completed/s, %.1f allocs/interval "
+                "(%zu resolved threads)\n",
+                r.ms_per_interval, r.completed_per_sec, r.allocs_per_interval,
+                r.resolved_threads);
+  }
+  const bool request_determinism_ok =
+      request_fabric_deterministic(request_fabrics);
+  std::printf("  replay %s across thread counts\n",
+              request_determinism_ok ? "bit-identical" : "DIVERGED");
+
   std::printf("hysteresis: flash overload, flap count off vs on...\n");
   std::fflush(stdout);
   const HysteresisSample hysteresis = measure_hysteresis();
@@ -1027,7 +1190,7 @@ int main(int argc, char** argv) {
   const std::string report = json_report(steps, searches, partitions,
                                          fabrics, phases,
                                          determinism_ok, queue, requests,
-                                         hysteresis);
+                                         request_fabrics, hysteresis);
   std::ofstream out(out_path);
   out << report;
   out.close();
@@ -1036,10 +1199,10 @@ int main(int argc, char** argv) {
   if (flags.has("check")) {
     return check_against_reference(flags.get("check"), steps, searches,
                                    partitions, fabrics, determinism_ok, queue,
-                                   requests, hysteresis);
+                                   requests, request_fabrics, hysteresis);
   }
   const bool searches_agree =
       std::all_of(searches.begin(), searches.end(),
                   [](const SearchSample& q) { return q.mismatches == 0; });
-  return determinism_ok && searches_agree ? 0 : 1;
+  return determinism_ok && request_determinism_ok && searches_agree ? 0 : 1;
 }

@@ -269,19 +269,22 @@ void Fabric::route_and_apply(FabricIntervalReport& report) {
   }
 }
 
+void Fabric::for_each_shard(const std::function<void(std::size_t)>& fn) {
+  if (pool_ != nullptr && shards_.size() > 1) {
+    pool_->parallel_for_static(shards_.size(), fn);
+  } else {
+    for (std::size_t i = 0; i < shards_.size(); ++i) fn(i);
+  }
+}
+
 FabricIntervalReport Fabric::step() {
   FabricIntervalReport report;
   report.clusters.resize(shards_.size());
-  auto step_shard = [this, &report](std::size_t i) {
-    // Each worker touches only shard i's kernel, outbox and report slot;
-    // the phase shares nothing mutable across indices.
+  // Each worker touches only shard i's kernel, outbox and report slot; the
+  // phase shares nothing mutable across indices.
+  for_each_shard([this, &report](std::size_t i) {
     report.clusters[i] = shards_[i]->step();
-  };
-  if (pool_ != nullptr && shards_.size() > 1) {
-    pool_->parallel_for_static(shards_.size(), step_shard);
-  } else {
-    for (std::size_t i = 0; i < shards_.size(); ++i) step_shard(i);
-  }
+  });
   // The barrier: single-threaded, (shard id, sequence)-ordered resolution,
   // applied before the next interval begins.  Everything that feeds it is a
   // pure function of per-shard results, so thread count cannot leak in.

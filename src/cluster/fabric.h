@@ -28,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -167,6 +168,13 @@ class Fabric {
   /// The seed shard `shard` of a fabric templated on `base` uses.
   [[nodiscard]] static std::uint64_t shard_seed(std::uint64_t base,
                                                 std::size_t shard);
+
+  /// The parallel phase: runs fn(i) for every shard i on the fabric's
+  /// workers (inline when stepping on one thread) and returns once all have
+  /// finished.  fn(i) must touch only shard i's state -- its cluster and
+  /// whatever per-shard companions the caller keeps (a request driver, say)
+  /// -- so the outcome cannot depend on the thread count.
+  void for_each_shard(const std::function<void(std::size_t)>& fn);
 
   /// Runs one conservative-barrier round: every shard steps interval T in
   /// parallel, then the super-leader resolves the overflow mailboxes in

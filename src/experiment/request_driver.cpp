@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <sstream>
-#include <unordered_map>
 
 #include "common/assert.h"
 #include "common/rng.h"
@@ -62,20 +61,63 @@ RequestDriver::RequestDriver(cluster::Cluster& cluster,
               "= false; the driver owns the demand signal");
   rr_.assign(engine_.stream_count(), 0);
   targets_.resize(engine_.stream_count());
+  // Reserve the per-VM state and the snapshot buffers for today's fleet
+  // here, on the constructing thread: a fabric session then advances the
+  // driver on a worker, and memory first claimed there would come from that
+  // worker's own allocator arena.  The entries are built as the first
+  // interval meets each VM, so set-up touches none of the pages.  VmIds
+  // count up from 0, so the VM count is the id range of a fresh cluster;
+  // VMs spawned later grow the storage on demand.
+  const std::size_t vms = cluster_.total_vms();
+  vms_.reserve(vms);
+  slots_.reserve(vms);
+  prev_slots_.reserve(vms);
+  for (auto& t : targets_) t.reserve(vms);
+}
+
+void RequestDriver::start_drain(const VmSlot& slot, VmState& state,
+                                std::uint32_t window) {
+  workload::engine::RequestQueue residue;
+  residue.prepend(state.queue);
+  auto it = std::lower_bound(
+      draining_.begin(), draining_.end(), slot.id,
+      [](const DrainState& d, common::VmId id) { return d.id < id; });
+  if (it != draining_.end() && it->id == slot.id) {
+    // Second hop while still draining: the older residue re-joins at the
+    // front so overall arrival order survives.
+    residue.prepend(it->queue);
+  } else {
+    it = draining_.insert(it, DrainState{});
+    it->id = slot.id;
+  }
+  it->queue = std::move(residue);
+  it->source = state.server;
+  it->rate = state.rate;
+  it->sla_seconds = slot.sla_seconds;
+  it->intervals_left = window;
 }
 
 void RequestDriver::advance_interval() {
   const common::Seconds t0 = cluster_.now();
   const common::Seconds tau = cluster_.config().reallocation_interval;
   const common::Seconds t1{t0.value + tau.value};
-  engine_.generate(t0, t1, &per_stream_);
 
   const std::size_t nstreams = engine_.stream_count();
+  const std::uint32_t drain_window = engine_.config().drain_intervals;
+  ++interval_;
 
   // 1. Snapshot the live fleet in deterministic (server index, roster
   //    position) order.  The capacity share is the host's oversubscription
   //    discount: an overloaded server serves every hosted VM
   //    proportionally, exactly how ServeAndAccount grants demand.
+  //
+  //    Migrations show against the VM's last placement.  With draining
+  //    enabled a moved VM's backlog stays behind as a source-side residue,
+  //    served at the frozen pre-move rate; without it the queue travels
+  //    with the VM.  A non-empty queue means the VM was in the previous
+  //    snapshot (step 3 empties a vanished VM's queue), so its recorded
+  //    placement is current.
+  prev_slots_.swap(slots_);
   slots_.clear();
   for (auto& t : targets_) t.clear();
   const std::span<server::Server> servers = cluster_.mutable_servers();
@@ -84,178 +126,140 @@ void RequestDriver::advance_interval() {
     const double load = s.load();
     const double share =
         load > s.capacity() && load > 0.0 ? s.capacity() / load : 1.0;
-    for (const vm::Vm& v : s.vms()) {
+    const std::span<const vm::Vm> roster = s.vms();
+    for (std::size_t pos = 0; pos < roster.size(); ++pos) {
+      const vm::Vm& v = roster[pos];
       const std::size_t owner =
           nstreams == 0 ? 0 : v.app().index() % nstreams;
       VmSlot slot;
       slot.id = v.id();
-      slot.server = si;
+      slot.server = static_cast<std::uint32_t>(si);
+      slot.position = static_cast<std::uint32_t>(pos);
       slot.rate = v.demand() * share;
       slot.sla_seconds = nstreams == 0
                              ? 0.0
                              : engine_.config().streams[owner].sla_seconds;
-      if (owner < targets_.size()) targets_[owner].push_back(slots_.size());
+      if (owner < targets_.size()) {
+        targets_[owner].push_back(static_cast<std::uint32_t>(slots_.size()));
+      }
       slots_.push_back(slot);
+
+      if (v.id().index() >= vms_.size()) vms_.resize(v.id().index() + 1);
+      VmState& state = vms_[v.id().index()];
+      if (drain_window > 0 && state.queue.depth() > 0 &&
+          state.server != slot.server) {
+        start_drain(slot, state, drain_window);
+      }
+      state.live = interval_;
+      state.server = slot.server;
+      state.rate = slot.rate;
     }
   }
 
-  // 1b. Detect migrations against the last-seen placements.  With draining
-  //     enabled a moved VM's backlog stays behind as a source-side residue,
-  //     served at the frozen pre-move rate; without it the queue travels
-  //     with the VM exactly as before.  last_seen_ also lets step 3 tell a
-  //     crashed host from a retired VM.
-  const std::uint32_t drain_window = engine_.config().drain_intervals;
+  // 2. Route each stream's arrivals, as the engine generates them,
+  //    round-robin over the VMs the stream owns (falling back to the whole
+  //    fleet when it owns none).  The cursors persist across intervals so
+  //    routing does not restart at the first VM every window.
+  const bool admitting =
+      engine_.config().admission != workload::engine::AdmissionPolicy::kNone;
+  engine_.generate_each(t0, t1, [&](std::size_t s,
+                                    const workload::engine::Request& r) {
+    const std::vector<std::uint32_t>& owned = targets_[s];
+    const std::size_t fleet = owned.empty() ? slots_.size() : owned.size();
+    if (fleet == 0) {
+      // No VM anywhere to take the stream: the request is lost.
+      ++dropped_;
+      return;
+    }
+    const std::size_t k = rr_[s] % fleet;
+    ++rr_[s];
+    const VmSlot& slot = slots_[owned.empty() ? k : owned[k]];
+    workload::engine::RequestQueue& queue = vms_[slot.id.index()].queue;
+    if (admitting && shed_decision(queue, slot)) {
+      ++shed_;
+      return;
+    }
+    queue.push(r);
+    ++arrived_;
+  });
+
+  // 3. Serve every live VM's queue over the window at its granted share.
+  //    Queues whose VM vanished since the last snapshot (crash orphan
+  //    retired, shadow resolved) drop their requests -- as stranded backlog
+  //    killed by the fault when the VM's last host is down.  Each queue is
+  //    independent and the tallies are counts, so the walk order is free.
+  for (const VmSlot& prev : prev_slots_) {
+    VmState& state = vms_[prev.id.index()];
+    if (state.live == interval_) continue;
+    const std::size_t lost = state.queue.depth();
+    if (prev.server < servers.size() && servers[prev.server].failed()) {
+      failed_by_fault_ += lost;
+    } else {
+      dropped_ += lost;
+    }
+    state.queue.reset();
+  }
   for (const VmSlot& slot : slots_) {
-    const auto seen = last_seen_.find(slot.id);
-    if (drain_window > 0 && seen != last_seen_.end() &&
-        seen->second.server != slot.server) {
-      const auto qit = queues_.find(slot.id);
-      if (qit != queues_.end() && qit->second.depth() > 0) {
-        DrainState st;
-        st.queue.prepend(qit->second.take_all());
-        const auto old_drain = draining_.find(slot.id);
-        if (old_drain != draining_.end()) {
-          // Second hop while still draining: the older residue re-joins at
-          // the front so overall arrival order survives.
-          st.queue.prepend(old_drain->second.queue.take_all());
-          draining_.erase(old_drain);
-        }
-        st.source = seen->second.server;
-        st.rate = seen->second.rate;
-        st.sla_seconds = slot.sla_seconds;
-        st.intervals_left = drain_window;
-        draining_.insert_or_assign(slot.id, std::move(st));
-      }
-    }
-  }
-  for (const VmSlot& slot : slots_) {
-    last_seen_[slot.id] = LastSeen{slot.server, slot.rate};
-  }
-
-  // 2. Route each stream's arrivals round-robin over the VMs it owns
-  //    (falling back to the whole fleet when the stream owns none).  The
-  //    cursors persist across intervals so routing does not restart at the
-  //    first VM every window.
-  std::vector<std::size_t> all_slots;
-  for (std::size_t s = 0; s < nstreams; ++s) {
-    const std::vector<workload::engine::Request>& reqs = per_stream_[s];
-    if (reqs.empty()) continue;
-    const std::vector<std::size_t>* tgt = &targets_[s];
-    if (tgt->empty()) {
-      if (all_slots.empty() && !slots_.empty()) {
-        all_slots.resize(slots_.size());
-        for (std::size_t i = 0; i < slots_.size(); ++i) all_slots[i] = i;
-      }
-      tgt = &all_slots;
-    }
-    if (tgt->empty()) {
-      // No VM anywhere to take the stream: the requests are lost.
-      dropped_ += reqs.size();
-      continue;
-    }
-    const bool admitting = engine_.config().admission !=
-                           workload::engine::AdmissionPolicy::kNone;
-    std::uint64_t accepted = 0;
-    for (const workload::engine::Request& r : reqs) {
-      const std::size_t idx = (*tgt)[rr_[s] % tgt->size()];
-      ++rr_[s];
-      workload::engine::RequestQueue& queue = queues_[slots_[idx].id];
-      if (admitting && shed_decision(queue, slots_[idx])) {
-        ++shed_;
-        continue;
-      }
-      queue.push(r);
-      ++accepted;
-    }
-    arrived_ += accepted;
-  }
-
-  // 3. Serve every queue over the window at its VM's granted share; queues
-  //    whose VM vanished (crash orphan retired, shadow resolved) drop their
-  //    requests.  The map iterates in VmId order -- deterministic.
-  std::unordered_map<common::VmId, std::size_t> slot_of;
-  slot_of.reserve(slots_.size());
-  for (std::size_t i = 0; i < slots_.size(); ++i) slot_of[slots_[i].id] = i;
-  for (auto it = queues_.begin(); it != queues_.end();) {
-    const auto found = slot_of.find(it->first);
-    if (found == slot_of.end()) {
-      // The VM is gone.  If its last-known host is down this is stranded
-      // backlog killed by the fault, not a routing drop.
-      const auto seen = last_seen_.find(it->first);
-      const bool host_failed = seen != last_seen_.end() &&
-                               seen->second.server < servers.size() &&
-                               servers[seen->second.server].failed();
-      if (host_failed) {
-        failed_by_fault_ += it->second.drop_all();
-      } else {
-        dropped_ += it->second.drop_all();
-      }
-      if (seen != last_seen_.end()) last_seen_.erase(seen);
-      it = queues_.erase(it);
-      continue;
-    }
-    const VmSlot& slot = slots_[found->second];
     const workload::engine::QueueServeStats stats =
-        it->second.serve(t0, t1, slot.rate, slot.sla_seconds, &hist_);
+        vms_[slot.id.index()].queue.serve(t0, t1, slot.rate, slot.sla_seconds,
+                                          &hist_);
     completed_ += stats.completed;
     violations_ += stats.sla_violations;
-    ++it;
   }
 
-  // 3b. Serve draining residues on their source hosts (VmId order).  A
-  //     crashed source fails its residue; an expired window hands whatever
-  //     is left back to the VM's current queue, ahead of newer arrivals.
-  for (auto it = draining_.begin(); it != draining_.end();) {
-    DrainState& st = it->second;
+  // 3b. Serve draining residues on their source hosts.  A crashed source
+  //     fails its residue; an expired window hands whatever is left back to
+  //     the VM's current queue, ahead of newer arrivals.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < draining_.size(); ++i) {
+    DrainState& st = draining_[i];
+    bool done = true;
     if (st.source < servers.size() && servers[st.source].failed()) {
       failed_by_fault_ += st.queue.drop_all();
-      it = draining_.erase(it);
-      continue;
-    }
-    const workload::engine::QueueServeStats stats =
-        st.queue.serve(t0, t1, st.rate, st.sla_seconds, &hist_);
-    completed_ += stats.completed;
-    violations_ += stats.sla_violations;
-    if (st.intervals_left > 1 && st.queue.depth() > 0) {
-      --st.intervals_left;
-      ++it;
-      continue;
-    }
-    if (st.queue.depth() > 0) {
-      const auto found = slot_of.find(it->first);
-      if (found != slot_of.end()) {
-        queues_[it->first].prepend(st.queue.take_all());
-      } else {
-        // The VM vanished mid-drain with the source still up: the residue
-        // is a routing drop, same as a retired VM's queue.
-        dropped_ += st.queue.drop_all();
+    } else {
+      const workload::engine::QueueServeStats stats =
+          st.queue.serve(t0, t1, st.rate, st.sla_seconds, &hist_);
+      completed_ += stats.completed;
+      violations_ += stats.sla_violations;
+      if (st.intervals_left > 1 && st.queue.depth() > 0) {
+        --st.intervals_left;
+        done = false;
+      } else if (st.queue.depth() > 0) {
+        VmState& state = vms_[st.id.index()];
+        if (state.live == interval_) {
+          state.queue.prepend(st.queue);
+        } else {
+          // The VM vanished mid-drain with the source still up: the
+          // residue is a routing drop, same as a retired VM's queue.
+          dropped_ += st.queue.drop_all();
+        }
       }
     }
-    it = draining_.erase(it);
+    if (!done) {
+      if (kept != i) draining_[kept] = std::move(st);
+      ++kept;
+    }
   }
+  draining_.erase(draining_.begin() + static_cast<std::ptrdiff_t>(kept),
+                  draining_.end());
 
   // 4. Convert backlog into each VM's next demand and refresh the queue
-  //    mirror the VM carries.  Walk the slots (server index order) so the
-  //    force_demand sequence is deterministic.
+  //    mirror the VM carries.  Walk the slots (server index order) so each
+  //    host's load-update sequence is deterministic; residues add to the
+  //    backlog total after them, in VmId order.
   const double util = engine_.config().target_utilization;
   double backlog_total = 0.0;
   for (const VmSlot& slot : slots_) {
-    double backlog = 0.0;
-    std::size_t depth = 0;
-    const auto it = queues_.find(slot.id);
-    if (it != queues_.end()) {
-      backlog = it->second.backlog_work();
-      depth = it->second.depth();
-    }
+    const workload::engine::RequestQueue& queue = vms_[slot.id.index()].queue;
+    const double backlog = queue.backlog_work();
     backlog_total += backlog;
     const double demand =
         std::clamp(backlog / (tau.value * util), 0.0, 1.0);
-    server::Server& host = servers[slot.server];
-    (void)host.force_demand(slot.id, demand);
-    (void)host.set_vm_queue_state(slot.id, static_cast<std::uint32_t>(depth),
-                                  backlog);
+    servers[slot.server].set_vm_request_state(
+        slot.position, demand, static_cast<std::uint32_t>(queue.depth()),
+        backlog);
   }
-  for (const auto& [id, st] : draining_) {
+  for (const DrainState& st : draining_) {
     backlog_total += st.queue.backlog_work();
   }
   backlog_ = backlog_total;
@@ -302,8 +306,8 @@ bool RequestDriver::shed_decision(const workload::engine::RequestQueue& queue,
 
 std::uint64_t RequestDriver::queued() const {
   std::uint64_t total = 0;
-  for (const auto& [id, queue] : queues_) total += queue.depth();
-  for (const auto& [id, st] : draining_) total += st.queue.depth();
+  for (const VmState& state : vms_) total += state.queue.depth();
+  for (const DrainState& st : draining_) total += st.queue.depth();
   return total;
 }
 
@@ -355,7 +359,8 @@ workload::engine::RequestWorkloadConfig shard_workload_config(
 
 FabricRequestSession::FabricRequestSession(
     cluster::Fabric& fabric,
-    const workload::engine::RequestWorkloadConfig& config) {
+    const workload::engine::RequestWorkloadConfig& config)
+    : fabric_(fabric) {
   drivers_.reserve(fabric.size());
   for (std::size_t i = 0; i < fabric.size(); ++i) {
     drivers_.push_back(std::make_unique<RequestDriver>(
@@ -379,7 +384,9 @@ std::string FabricRequestSession::error() const {
 }
 
 void FabricRequestSession::advance_interval() {
-  for (const auto& d : drivers_) d->advance_interval();
+  fabric_.for_each_shard([this](std::size_t i) {
+    drivers_[i]->advance_interval();
+  });
 }
 
 SlaSummary FabricRequestSession::summary() const {

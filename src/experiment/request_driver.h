@@ -17,10 +17,20 @@
 //
 // Determinism: arrivals are a pure function of (workload config, seed);
 // routing walks servers in index order and VM rosters in position order;
-// queues live in a VmId-ordered map.  Two runs with the same cluster seed
-// and workload config are bit-identical, which FabricRequestSession extends
-// to any fabric thread count by advancing the per-shard drivers serially
-// between fabric rounds.
+// every order-sensitive sum (the backlog total, each host's load updates)
+// runs in that same snapshot order, with drain residues after it in VmId
+// order.  Two runs with the same cluster seed and workload config are
+// bit-identical.  A driver touches nothing but its own cluster, engine,
+// queues and recorder, which is what lets FabricRequestSession advance the
+// per-shard drivers concurrently on the fabric's workers at any thread
+// count.
+//
+// Storage: VmIds are dense per cluster (Cluster::spawn_vm hands out
+// next_vm_id_++), so per-VM state -- the FIFO queue, the last placement --
+// lives in a VmId-indexed vector, each queue is a ring buffer holding its
+// first requests inline, and arrivals route straight from the engine
+// without a per-interval buffer.  Once the queues reach their steady depth
+// an interval allocates nothing.
 //
 // Overload resilience (flag-gated; defaults reproduce PR 8 byte-for-byte):
 // admission control sheds arrivals whose target queue is past the policy's
@@ -32,7 +42,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -113,13 +122,26 @@ class RequestDriver {
   /// One live VM as seen at the head of an interval.
   struct VmSlot {
     common::VmId id{};
-    std::size_t server{0};     ///< Host index in the server array.
-    double rate{0.0};          ///< Granted capacity share this interval.
-    double sla_seconds{0.0};   ///< Owning stream's sojourn budget.
+    std::uint32_t server{0};    ///< Host index in the server array.
+    std::uint32_t position{0};  ///< Position in the host's VM roster.
+    double rate{0.0};           ///< Granted capacity share this interval.
+    double sla_seconds{0.0};    ///< Owning stream's sojourn budget.
+  };
+
+  /// Per-VM request state, indexed by VmId.
+  struct VmState {
+    workload::engine::RequestQueue queue;
+    /// Interval stamp of the last snapshot that held the VM.
+    std::uint32_t live{0};
+    /// Host and serve rate at that snapshot: a migration shows as a changed
+    /// host while the queue still holds work.
+    std::uint32_t server{0};
+    double rate{0.0};
   };
 
   /// Residual backlog left behind on a migration source while it drains.
   struct DrainState {
+    common::VmId id{};
     workload::engine::RequestQueue queue;
     std::size_t source{0};         ///< Source host index in the server array.
     double rate{0.0};              ///< Frozen serve rate (pre-move share).
@@ -127,27 +149,26 @@ class RequestDriver {
     std::uint32_t intervals_left{0};
   };
 
-  /// The last placement the driver saw for a VM (detects migrations and
-  /// lets vanished queues distinguish a crashed host from a retired VM).
-  struct LastSeen {
-    std::size_t server{0};
-    double rate{0.0};
-  };
-
   /// True when admission refuses an arrival given the target queue's state
   /// -- a pure function of (policy, queue, rate), so no RNG stream moves.
   [[nodiscard]] bool shed_decision(
       const workload::engine::RequestQueue& queue, const VmSlot& slot) const;
 
+  /// Freezes `state`'s backlog as a residue on its previous host; a residue
+  /// still draining from an earlier hop re-joins at the front.
+  void start_drain(const VmSlot& slot, VmState& state,
+                   std::uint32_t window);
+
   cluster::Cluster& cluster_;
   workload::engine::RequestEngine engine_;
-  std::vector<std::vector<workload::engine::Request>> per_stream_;
-  std::vector<VmSlot> slots_;
-  std::vector<std::vector<std::size_t>> targets_;  ///< Slot indices per stream.
-  std::vector<std::uint64_t> rr_;                  ///< Round-robin cursors.
-  std::map<common::VmId, workload::engine::RequestQueue> queues_;
-  std::map<common::VmId, DrainState> draining_;
-  std::map<common::VmId, LastSeen> last_seen_;
+  std::vector<VmSlot> slots_;       ///< This interval's snapshot.
+  std::vector<VmSlot> prev_slots_;  ///< The previous interval's snapshot.
+  /// Slot indices per stream.
+  std::vector<std::vector<std::uint32_t>> targets_;
+  std::vector<std::uint64_t> rr_;     ///< Round-robin cursors.
+  std::vector<VmState> vms_;          ///< Indexed by VmId.
+  std::vector<DrainState> draining_;  ///< Sorted by VmId.
+  std::uint32_t interval_{0};         ///< Stamp of the current snapshot.
   workload::engine::LatencyHistogram hist_;
   std::uint64_t arrived_{0};
   std::uint64_t completed_{0};
@@ -173,9 +194,11 @@ class RequestDriver {
     const workload::engine::RequestWorkloadConfig& config, std::size_t shard,
     std::size_t shard_count);
 
-/// One RequestDriver per fabric shard, advanced serially in shard order so
-/// a fabric run stays bit-identical at any worker thread count.  Call
-/// advance_interval() immediately before every fabric.step().
+/// One RequestDriver per fabric shard, advanced in the fabric's parallel
+/// phase: each driver runs on a worker and touches only its own shard, so a
+/// fabric run stays bit-identical at any worker thread count.  Call
+/// advance_interval() immediately before every fabric.step().  The fabric
+/// must outlive the session.
 class FabricRequestSession {
  public:
   FabricRequestSession(cluster::Fabric& fabric,
@@ -184,7 +207,7 @@ class FabricRequestSession {
   [[nodiscard]] bool ok() const;
   [[nodiscard]] std::string error() const;
 
-  /// Advances every shard's driver (serial, shard order).
+  /// Advances every shard's driver on the fabric's workers.
   void advance_interval();
 
   /// Merged accounting across the shards.
@@ -200,6 +223,7 @@ class FabricRequestSession {
   [[nodiscard]] RequestDriver& driver(std::size_t i) { return *drivers_.at(i); }
 
  private:
+  cluster::Fabric& fabric_;
   std::vector<std::unique_ptr<RequestDriver>> drivers_;
 };
 

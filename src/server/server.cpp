@@ -118,11 +118,16 @@ bool Server::force_demand(common::VmId id, double new_demand) {
   auto it = std::find_if(vms_.begin(), vms_.end(),
                          [id](const vm::Vm& v) { return v.id() == id; });
   if (it == vms_.end()) return false;
-  const double before = it->demand();
-  it->set_demand(new_demand);
-  table_->set_load(slot_, load() + (it->demand() - before));
-  notify_changed();
+  force_demand_at(static_cast<std::size_t>(it - vms_.begin()), new_demand);
   return true;
+}
+
+void Server::force_demand_at(std::size_t position, double new_demand) {
+  vm::Vm& v = vms_[position];
+  const double before = v.demand();
+  v.set_demand(new_demand);
+  table_->set_load(slot_, load() + (v.demand() - before));
+  notify_changed();
 }
 
 std::vector<vm::Vm> Server::take_all_vms() {
@@ -133,13 +138,11 @@ std::vector<vm::Vm> Server::take_all_vms() {
   return out;
 }
 
-bool Server::set_vm_queue_state(common::VmId id, std::uint32_t requests,
-                                double work) {
-  auto it = std::find_if(vms_.begin(), vms_.end(),
-                         [id](const vm::Vm& v) { return v.id() == id; });
-  if (it == vms_.end()) return false;
-  it->set_queue_state(requests, work);
-  return true;
+void Server::set_vm_request_state(std::size_t position, double demand,
+                                  std::uint32_t requests, double work) {
+  ECLB_ASSERT(position < vms_.size(), "set_vm_request_state: no such VM");
+  force_demand_at(position, demand);
+  vms_[position].set_queue_state(requests, work);
 }
 
 std::size_t Server::queued_requests() const {

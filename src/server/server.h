@@ -165,9 +165,12 @@ class Server {
   /// custody of the orphans).  Load drops to zero.
   [[nodiscard]] std::vector<vm::Vm> take_all_vms();
 
-  /// Records the request-engine queue mirror on a hosted VM (no load
-  /// change).  Returns false when the VM is not hosted here.
-  bool set_vm_queue_state(common::VmId id, std::uint32_t requests, double work);
+  /// The request driver's per-interval install on the VM at roster
+  /// `position` (< vm_count()): sets its demand unconditionally, exactly as
+  /// force_demand does, then records the request-engine queue mirror.
+  /// Addressing by position spares the driver a roster search per VM.
+  void set_vm_request_state(std::size_t position, double demand,
+                            std::uint32_t requests, double work);
 
   /// Requests queued across hosted VMs (the request engine's mirror; always
   /// 0 when no request workload is attached).
@@ -270,6 +273,9 @@ class Server {
     sync_derived();
     if (listener_ != nullptr) listener_->server_state_changed(*this);
   }
+
+  /// force_demand on the VM at roster `position`.
+  void force_demand_at(std::size_t position, double new_demand);
 
   /// Recomputes the derived columns of this server's table row (vm count,
   /// wake/pending flags, C-states, regimes, sleep depth, static power).

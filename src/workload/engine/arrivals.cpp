@@ -86,14 +86,10 @@ void ArrivalStream::advance_flash_state(common::Seconds t) {
   }
 }
 
-void ArrivalStream::generate(common::Seconds t0, common::Seconds t1,
-                             std::vector<Request>* out) {
-  if (!ok_ || t1 <= t0) return;
+double ArrivalStream::begin_window(common::Seconds t0, common::Seconds t1) {
+  if (!ok_ || t1 <= t0) return 0.0;
   if (clock_ < t0) clock_ = t0;
 
-  // The thinning envelope: a constant rate dominating the target rate over
-  // the whole window.  Candidates arrive as a homogeneous Poisson process at
-  // the envelope; each survives with probability rate(t) / envelope.
   double envelope = 0.0;
   switch (spec_.kind) {
     case StreamKind::kPoisson:
@@ -111,42 +107,26 @@ void ArrivalStream::generate(common::Seconds t0, common::Seconds t1,
   }
   if (!(envelope > 0.0)) {
     clock_ = t1;
-    return;
+    return 0.0;
   }
+  return envelope;
+}
 
-  while (true) {
-    const double gap = rng_.exponential(envelope);
-    const double t = clock_.value + gap;
-    if (t >= t1.value) {
-      // Truncate at the window edge: the exponential is memoryless, so
-      // restarting the candidate clock at t1 next window is exact.
-      clock_ = t1;
-      break;
-    }
-    clock_ = common::Seconds{t};
-
-    bool accept = true;
-    switch (spec_.kind) {
-      case StreamKind::kPoisson:
-        break;  // Envelope equals the rate; every candidate survives.
-      case StreamKind::kDiurnal:
-        accept = rng_.uniform01() * envelope < rate_at(clock_);
-        break;
-      case StreamKind::kFlash: {
-        advance_flash_state(clock_);
-        accept = rng_.uniform01() * envelope < rate_at(clock_);
-        break;
-      }
-      case StreamKind::kTrace: {
-        const double r = cursor_->value_at(clock_) * spec_.trace_scale;
-        accept = rng_.uniform01() * envelope < r;
-        break;
-      }
-    }
-    if (accept) {
-      out->push_back(Request{clock_, sampler_.sample(rng_)});
+bool ArrivalStream::accept_candidate(double envelope) {
+  switch (spec_.kind) {
+    case StreamKind::kPoisson:
+      return true;  // Envelope equals the rate; every candidate survives.
+    case StreamKind::kDiurnal:
+      return rng_.uniform01() * envelope < rate_at(clock_);
+    case StreamKind::kFlash:
+      advance_flash_state(clock_);
+      return rng_.uniform01() * envelope < rate_at(clock_);
+    case StreamKind::kTrace: {
+      const double r = cursor_->value_at(clock_) * spec_.trace_scale;
+      return rng_.uniform01() * envelope < r;
     }
   }
+  return true;
 }
 
 }  // namespace eclb::workload::engine

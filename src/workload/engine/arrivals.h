@@ -75,16 +75,50 @@ class ArrivalStream {
   /// The trace-open failure, empty when ok().
   [[nodiscard]] const std::string& error() const { return error_; }
 
+  /// Hands the requests arriving in [t0, t1) to `emit(request)`, in
+  /// increasing arrival order.
+  template <class Emit>
+  void generate(common::Seconds t0, common::Seconds t1, Emit&& emit) {
+    const double envelope = begin_window(t0, t1);
+    if (!(envelope > 0.0)) return;
+    while (true) {
+      const double gap = rng_.exponential(envelope);
+      const double t = clock_.value + gap;
+      if (t >= t1.value) {
+        // Truncate at the window edge: the exponential is memoryless, so
+        // restarting the candidate clock at t1 next window is exact.
+        clock_ = t1;
+        break;
+      }
+      clock_ = common::Seconds{t};
+      if (accept_candidate(envelope)) {
+        emit(Request{clock_, sampler_.sample(rng_)});
+      }
+    }
+  }
+
   /// Appends the requests arriving in [t0, t1), in increasing arrival
   /// order, to `out`.
   void generate(common::Seconds t0, common::Seconds t1,
-                std::vector<Request>* out);
+                std::vector<Request>* out) {
+    generate(t0, t1, [out](const Request& r) { out->push_back(r); });
+  }
 
   /// Instantaneous target rate at `t` (kPoisson/kDiurnal only; kFlash and
   /// kTrace rates are path-dependent and reported via mean_rate / cursor).
   [[nodiscard]] double rate_at(common::Seconds t) const;
 
  private:
+  /// Starts the window [t0, t1): returns the thinning envelope, a constant
+  /// rate dominating the target rate over the whole window (candidates
+  /// arrive as a homogeneous Poisson process at the envelope).  Returns 0
+  /// when the window generates nothing.
+  double begin_window(common::Seconds t0, common::Seconds t1);
+
+  /// Thins the candidate at the current clock: true with probability
+  /// rate(t) / envelope.
+  bool accept_candidate(double envelope);
+
   /// Advances the MMPP modulating state to `t`, toggling at the scheduled
   /// switch times.
   void advance_flash_state(common::Seconds t);

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/units.h"
@@ -38,6 +39,19 @@ class RequestEngine {
   /// count; inner buffers are cleared and reused.
   void generate(common::Seconds t0, common::Seconds t1,
                 std::vector<std::vector<Request>>* per_stream);
+
+  /// Streams the window [t0, t1) to `emit(stream index, request)`: stream
+  /// by stream, each in arrival order -- the sequence generate() stores,
+  /// without buffering it.
+  template <class Emit>
+  void generate_each(common::Seconds t0, common::Seconds t1, Emit&& emit) {
+    for (std::size_t i = 0; i < streams_.size(); ++i) {
+      streams_[i].generate(t0, t1, [&](const Request& r) {
+        ++generated_;
+        emit(i, r);
+      });
+    }
+  }
 
   /// Requests generated since construction.
   [[nodiscard]] std::uint64_t total_generated() const { return generated_; }

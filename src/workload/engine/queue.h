@@ -7,10 +7,19 @@
 // remaining work over the service rate).  Sojourn times land in the shared
 // log-scale histogram; the remaining backlog is what the request driver
 // converts into the VM's next demand.
+//
+// Storage is a power-of-two ring buffer.  The first few requests live
+// inline in the queue object itself; deeper queues move to a heap ring that
+// doubles as needed, and a large ring that has drained to a quarter of its
+// capacity halves back after a serve.  A queue at its steady depth therefore
+// pushes, serves and splices without touching the allocator, and most VMs
+// -- a handful of requests deep -- never allocate at all.
 #pragma once
 
+#include <array>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
+#include <memory>
 
 #include "common/units.h"
 #include "workload/engine/arrivals.h"
@@ -27,8 +36,7 @@ struct QueueServeStats {
 /// FIFO queue of requests pending on one VM.
 class RequestQueue {
  public:
-  /// One queued request (public so migration draining can hand residual
-  /// contents between queues without re-synthesizing Request objects).
+  /// One queued request.
   struct Pending {
     common::Seconds arrival{};
     double remaining{0.0};  ///< Capacity-seconds of work left.
@@ -45,25 +53,52 @@ class RequestQueue {
                         double sla_seconds, LatencyHistogram* hist);
 
   /// Requests waiting (including the partially served head).
-  [[nodiscard]] std::size_t depth() const { return pending_.size(); }
+  [[nodiscard]] std::size_t depth() const { return size_; }
   /// Remaining work in the queue, capacity-seconds.
   [[nodiscard]] double backlog_work() const { return backlog_work_; }
+  /// The `i`-th waiting request counted from the head (i < depth()).
+  [[nodiscard]] const Pending& at(std::size_t i) const {
+    return data()[(head_ + i) & mask()];
+  }
 
   /// Drops everything (the VM vanished); returns the number dropped.
   std::size_t drop_all();
 
-  /// Removes and returns every pending request, FIFO order preserved; the
-  /// queue is left empty.  The migration-drain handoff uses this to freeze
-  /// the source-side backlog.
-  [[nodiscard]] std::deque<Pending> take_all();
+  /// Takes every request of `from` and splices them in front of this
+  /// queue's contents, FIFO order preserved on both sides, adding their work
+  /// to this backlog head to tail.  `from` is left empty with zero backlog
+  /// (its server-free time is untouched).  The migration drain uses this
+  /// both ways: to freeze a moved VM's backlog as a source-side residue, and
+  /// to hand an expired residue back ahead of the newer arrivals.
+  void prepend(RequestQueue& from);
 
-  /// Splices `batch` in front of the current contents, preserving the
-  /// batch's internal order, so a drain residue re-joins ahead of the
-  /// requests that arrived after the migration.
-  void prepend(std::deque<Pending> batch);
+  /// Empties the queue and forgets its server-free time: a recycled queue
+  /// then serves exactly like a new one.
+  void reset();
 
  private:
-  std::deque<Pending> pending_;
+  /// Requests held inline before the first heap ring.
+  static constexpr std::uint32_t kInlineCapacity = 4;
+  /// Heap rings at or below this size never shrink, so a queue whose depth
+  /// wobbles around a few requests does not churn the allocator.
+  static constexpr std::uint32_t kShrinkFloor = 16;
+
+  [[nodiscard]] Pending* data() {
+    return heap_ != nullptr ? heap_.get() : inline_.data();
+  }
+  [[nodiscard]] const Pending* data() const {
+    return heap_ != nullptr ? heap_.get() : inline_.data();
+  }
+  [[nodiscard]] std::size_t mask() const { return capacity_ - 1; }
+  /// Re-lays the contents out head-first in a ring of `capacity` slots (a
+  /// power of two >= depth(); inline when it fits).
+  void relocate(std::size_t capacity);
+
+  std::array<Pending, kInlineCapacity> inline_{};
+  std::unique_ptr<Pending[]> heap_;  ///< Null while the ring is inline.
+  std::uint32_t capacity_{kInlineCapacity};
+  std::uint32_t head_{0};
+  std::uint32_t size_{0};
   double backlog_work_{0.0};
   common::Seconds ready_at_{common::Seconds{0.0}};  ///< Server-free time.
 };

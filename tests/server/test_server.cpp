@@ -129,6 +129,19 @@ TEST(Server, ForceDemandOversubscribes) {
   EXPECT_GT(s.load(), 1.0);
 }
 
+TEST(Server, RequestStateInstallsDemandAndQueueMirrorByPosition) {
+  Server s = make_server();
+  ASSERT_TRUE(s.place(make_vm(1, 0.2)));
+  ASSERT_TRUE(s.place(make_vm(2, 0.3)));
+  // Roster position 1 is VM 2; an oversubscribing demand is taken as is.
+  s.set_vm_request_state(1, 0.9, 7, 12.5);
+  EXPECT_DOUBLE_EQ(s.find(VmId{2})->demand(), 0.9);
+  EXPECT_DOUBLE_EQ(s.find(VmId{1})->demand(), 0.2);
+  EXPECT_DOUBLE_EQ(s.load(), 1.1);
+  EXPECT_EQ(s.queued_requests(), 7U);
+  EXPECT_DOUBLE_EQ(s.queued_work(), 12.5);
+}
+
 TEST(Server, RegimeTracksLoad) {
   Server s = make_server();
   ASSERT_TRUE(s.place(make_vm(1, 0.1)));

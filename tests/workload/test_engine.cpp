@@ -341,6 +341,114 @@ TEST(RequestQueue, DropAllEmptiesTheQueue) {
   EXPECT_DOUBLE_EQ(q.backlog_work(), 0.0);
 }
 
+// The ring-buffer storage: the head moves as requests complete, so pushes,
+// growth and splices all have to keep FIFO order across the wrap point.
+
+TEST(RequestQueue, PushesWrapAroundInFifoOrder) {
+  RequestQueue q;
+  for (int i = 0; i < 4; ++i) q.push({Seconds{double(i)}, 1.0});
+  LatencyHistogram hist;
+  // Unit work at rate 1: three finish at 1, 2 and 3; the fourth arrives at
+  // 3 and waits for the next window.
+  auto stats = q.serve(Seconds{0.0}, Seconds{3.0}, 1.0, 100.0, &hist);
+  EXPECT_EQ(stats.completed, 3U);
+  ASSERT_EQ(q.depth(), 1U);
+  for (int i = 4; i < 7; ++i) q.push({Seconds{double(i)}, 2.0});
+  ASSERT_EQ(q.depth(), 4U);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_DOUBLE_EQ(q.at(i).arrival.value, 3.0 + double(i));
+  }
+  EXPECT_DOUBLE_EQ(q.backlog_work(), 7.0);
+  // Back to back from t = 3: finishes at 4, 6, 8 and 10.
+  stats = q.serve(Seconds{3.0}, Seconds{100.0}, 1.0, 2.5, &hist);
+  EXPECT_EQ(stats.completed, 4U);
+  EXPECT_EQ(stats.sla_violations, 2U);  // Sojourns 1, 2, 3 and 4 s.
+  EXPECT_EQ(q.depth(), 0U);
+  EXPECT_DOUBLE_EQ(q.backlog_work(), 0.0);
+}
+
+TEST(RequestQueue, GrowthWhileWrappedKeepsFifoOrder) {
+  RequestQueue q;
+  for (int i = 0; i < 4; ++i) q.push({Seconds{double(i)}, 1.0});
+  LatencyHistogram hist;
+  // Two complete (at 1 and 2), so the head sits mid-buffer.
+  q.serve(Seconds{0.0}, Seconds{2.0}, 1.0, 100.0, &hist);
+  ASSERT_EQ(q.depth(), 2U);
+  // Twelve more: the buffer doubles twice while the contents wrap.
+  for (int i = 4; i < 16; ++i) q.push({Seconds{double(i)}, 1.0});
+  ASSERT_EQ(q.depth(), 14U);
+  for (std::size_t i = 0; i < q.depth(); ++i) {
+    EXPECT_DOUBLE_EQ(q.at(i).arrival.value, 2.0 + double(i)) << i;
+  }
+  EXPECT_DOUBLE_EQ(q.backlog_work(), 14.0);
+}
+
+TEST(RequestQueue, ResiduePrependedAcrossTheWrapPointThenTakenWhole) {
+  RequestQueue q;
+  q.push({Seconds{10.0}, 1.0});
+  q.push({Seconds{11.0}, 1.0});
+  RequestQueue residue;
+  residue.push({Seconds{1.0}, 0.5});
+  residue.push({Seconds{2.0}, 0.25});
+  // The residue lands in front of the head at slot 0, i.e. at the top of
+  // the buffer.
+  q.prepend(residue);
+  EXPECT_EQ(residue.depth(), 0U);
+  EXPECT_DOUBLE_EQ(residue.backlog_work(), 0.0);
+  ASSERT_EQ(q.depth(), 4U);
+  const double order[] = {1.0, 2.0, 10.0, 11.0};
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_DOUBLE_EQ(q.at(i).arrival.value, order[i]);
+  }
+  EXPECT_DOUBLE_EQ(q.backlog_work(), 2.75);
+
+  // A second hop: a longer residue that no longer fits grows the buffer
+  // and wraps again.
+  RequestQueue older;
+  older.push({Seconds{0.0}, 0.125});
+  older.push({Seconds{0.5}, 0.125});
+  q.prepend(older);
+  ASSERT_EQ(q.depth(), 6U);
+  EXPECT_DOUBLE_EQ(q.at(0).arrival.value, 0.0);
+  EXPECT_DOUBLE_EQ(q.at(1).arrival.value, 0.5);
+  EXPECT_DOUBLE_EQ(q.at(5).arrival.value, 11.0);
+  EXPECT_DOUBLE_EQ(q.backlog_work(), 3.0);
+
+  // Taking the whole queue into an empty one keeps the order and the work.
+  RequestQueue taken;
+  taken.prepend(q);
+  EXPECT_EQ(q.depth(), 0U);
+  EXPECT_DOUBLE_EQ(q.backlog_work(), 0.0);
+  ASSERT_EQ(taken.depth(), 6U);
+  const double all[] = {0.0, 0.5, 1.0, 2.0, 10.0, 11.0};
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_DOUBLE_EQ(taken.at(i).arrival.value, all[i]);
+  }
+  EXPECT_DOUBLE_EQ(taken.backlog_work(), 3.0);
+}
+
+TEST(RequestQueue, PartialHeadWorkCarriesAcrossTheWrapPoint) {
+  RequestQueue q;
+  for (int i = 0; i < 3; ++i) q.push({Seconds{0.0}, 1.0});
+  LatencyHistogram hist;
+  q.serve(Seconds{0.0}, Seconds{2.0}, 1.0, 100.0, &hist);  // Two finish.
+  q.push({Seconds{2.0}, 5.0});
+  q.push({Seconds{2.0}, 5.0});  // Wraps to slot 0.
+  // The third request finishes at 3; the next is cut off at 3.5 with 4.5
+  // cap-s left.
+  auto stats = q.serve(Seconds{2.0}, Seconds{3.5}, 1.0, 100.0, &hist);
+  EXPECT_EQ(stats.completed, 1U);
+  ASSERT_EQ(q.depth(), 2U);
+  EXPECT_DOUBLE_EQ(q.at(0).remaining, 4.5);
+  EXPECT_DOUBLE_EQ(q.backlog_work(), 9.5);
+  // The carried head finishes at 8, the wrapped request at 13.
+  stats = q.serve(Seconds{3.5}, Seconds{20.0}, 1.0, 7.0, &hist);
+  EXPECT_EQ(stats.completed, 2U);
+  EXPECT_EQ(stats.sla_violations, 1U);  // Sojourns 6 and 11 s.
+  EXPECT_EQ(q.depth(), 0U);
+  EXPECT_DOUBLE_EQ(q.backlog_work(), 0.0);
+}
+
 // --- latency histogram ------------------------------------------------------
 
 TEST(LatencyHistogram, QuantilesBracketTheRecordedValues) {

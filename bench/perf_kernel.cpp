@@ -10,18 +10,22 @@
 // the scan/index time ratio is the search speedup; times a partitioned run
 // (split at the first round, heal at the last) against the fault-free run
 // of the same cluster; times the sharded fabric (10 x 100 anchor, 100 x 1000
-// = 1e5-server scale point) and smoke-checks its thread-count determinism;
+// = 1e5-server scale point at 1, 2 and 4 threads for its parallel
+// efficiency, with the allocations of each step) and smoke-checks its
+// thread-count determinism;
 // measures steady-state event-queue throughput with a global allocation
 // counter; runs the request-driven fabric (request plane + fabric step) at
-// 1/2/4 threads, reporting ms/interval, completed requests/s and the request
-// plane's allocations per interval, and checks that all three replay the
-// same run; and emits the results as BENCH_perf.json (schema
+// 1/2/4 threads, reporting ms/interval, completed requests/s and the
+// allocations per interval of the request phase and of the step, and checks
+// that all three replay the same run; and emits the results as BENCH_perf.json (schema
 // "eclb-perf-3").  With --check <reference.json> it gates the measured
 // search speedups at half the recorded reference, the partition factor at
 // 1.25x the recorded value, the SoA data plane's bytes-per-server footprint
-// at 1.5x the recorded value, the fabric overhead ratio at half the
-// recorded figure, and search agreement, fabric determinism and the
-// request-driven fabric's determinism hard -- the CI perf smoke gate.
+// at 1.5x the recorded value, the fabric overhead ratio and the 1e5
+// fabric's parallel efficiency at half the recorded figure, the request
+// phase's allocations per interval at the recorded count, and search
+// agreement, fabric determinism and the request-driven fabric's
+// determinism hard -- the CI perf smoke gate.
 //
 // Usage:
 //   perf_kernel [--ci] [--tiny] [--full] [--phases] [--out BENCH_perf.json]
@@ -42,10 +46,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <new>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -293,6 +299,10 @@ struct FabricSample {
   std::size_t resolved_threads{0};  ///< Threads the parallel phase ran on.
   std::size_t intervals{0};
   double ms_per_interval{0.0};
+  /// operator-new calls inside Fabric::step() per timed interval, on every
+  /// thread: the shards' own allocations plus whatever the parallel phase
+  /// adds (nothing, for the shard team).
+  double allocs_per_interval{0.0};
 };
 
 cluster::FabricConfig fabric_config(std::size_t shards,
@@ -306,32 +316,55 @@ cluster::FabricConfig fabric_config(std::size_t shards,
   return cfg;
 }
 
-FabricSample time_fabric_step(std::size_t shards, std::size_t servers_per_shard,
-                              std::size_t threads) {
-  cluster::Fabric fabric(fabric_config(shards, servers_per_shard, threads));
-  // Same warmup + median-of-laps discipline as time_cluster_step, budgeted
-  // on total fabric servers.
-  constexpr std::size_t kWarmupIntervals = 8;
-  for (std::size_t i = 0; i < kWarmupIntervals; ++i) fabric.step();
-  const std::size_t k = intervals_for(shards * servers_per_shard);
-  std::vector<double> laps(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    const auto start = Clock::now();
-    fabric.step();
-    laps[i] = seconds_since(start);
+/// Times Fabric::step() on one fabric per entry of `thread_counts`, all
+/// built from the same config: 8 warm-up steps each, then `timed` rounds in
+/// which every fabric takes one timed step in turn.  Interleaving puts the
+/// same host conditions under every thread count, so ratios between the
+/// rows (the parallel efficiency) survive host drift that sequential rows
+/// would not.  Each row reports the median of its laps.
+std::vector<FabricSample> time_fabric_steps(
+    std::size_t shards, std::size_t servers_per_shard,
+    const std::vector<std::size_t>& thread_counts, std::size_t timed) {
+  std::vector<std::unique_ptr<cluster::Fabric>> fabrics;
+  for (const std::size_t threads : thread_counts) {
+    fabrics.push_back(std::make_unique<cluster::Fabric>(
+        fabric_config(shards, servers_per_shard, threads)));
   }
-  std::sort(laps.begin(), laps.end());
-  const double median = (k % 2 != 0)
-                            ? laps[k / 2]
-                            : 0.5 * (laps[k / 2 - 1] + laps[k / 2]);
-  FabricSample s;
-  s.shards = shards;
-  s.servers_per_shard = servers_per_shard;
-  s.threads = threads;
-  s.resolved_threads = fabric.resolved_threads();
-  s.intervals = k;
-  s.ms_per_interval = 1e3 * median;
-  return s;
+  constexpr std::size_t kWarmupIntervals = 8;
+  for (auto& fabric : fabrics) {
+    for (std::size_t i = 0; i < kWarmupIntervals; ++i) fabric->step();
+  }
+  std::vector<std::vector<double>> laps(fabrics.size(),
+                                        std::vector<double>(timed));
+  std::vector<std::size_t> allocs(fabrics.size(), 0);
+  for (std::size_t i = 0; i < timed; ++i) {
+    for (std::size_t f = 0; f < fabrics.size(); ++f) {
+      const std::size_t allocs_before =
+          g_alloc_count.load(std::memory_order_relaxed);
+      const auto start = Clock::now();
+      fabrics[f]->step();
+      laps[f][i] = seconds_since(start);
+      allocs[f] += g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+    }
+  }
+  std::vector<FabricSample> out;
+  for (std::size_t f = 0; f < fabrics.size(); ++f) {
+    auto& l = laps[f];
+    std::sort(l.begin(), l.end());
+    FabricSample s;
+    s.shards = shards;
+    s.servers_per_shard = servers_per_shard;
+    s.threads = thread_counts[f];
+    s.resolved_threads = fabrics[f]->resolved_threads();
+    s.intervals = timed;
+    s.ms_per_interval =
+        1e3 * ((timed % 2 != 0) ? l[timed / 2]
+                                : 0.5 * (l[timed / 2 - 1] + l[timed / 2]));
+    s.allocs_per_interval =
+        static_cast<double>(allocs[f]) / static_cast<double>(timed);
+    out.push_back(s);
+  }
+  return out;
 }
 
 // --- pipeline phase breakdown -----------------------------------------------
@@ -457,10 +490,12 @@ struct RequestFabricSample {
   double ms_per_interval{0.0};      ///< Median of request advance + step.
   double completed_per_sec{0.0};    ///< Completions over timed wall time.
   /// operator-new calls inside FabricRequestSession::advance_interval() per
-  /// timed interval.  At 1 thread this is the request plane's own steady-
-  /// state allocation rate; above 1 it also counts the pool's per-task
-  /// bookkeeping.
+  /// timed interval, on every thread: the request plane's own steady-state
+  /// allocation rate plus whatever the parallel phase adds (nothing, for
+  /// the shard team).
   double allocs_per_interval{0.0};
+  /// operator-new calls inside the interval's Fabric::step().
+  double step_allocs_per_interval{0.0};
   std::uint64_t digest{0};  ///< Every report, the end state and the SLA summary.
 };
 
@@ -501,13 +536,18 @@ RequestFabricSample time_request_fabric(std::size_t shards,
   const std::uint64_t completed_before = session.summary().completed;
   std::vector<double> laps(timed);
   std::size_t allocs = 0;
+  std::size_t step_allocs = 0;
   for (std::size_t i = 0; i < timed; ++i) {
     const auto start = Clock::now();
     const std::size_t allocs_before =
         g_alloc_count.load(std::memory_order_relaxed);
     session.advance_interval();
-    allocs += g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+    const std::size_t allocs_between =
+        g_alloc_count.load(std::memory_order_relaxed);
+    allocs += allocs_between - allocs_before;
     fold(cluster::fabric_report_digest(fabric.step()));
+    step_allocs +=
+        g_alloc_count.load(std::memory_order_relaxed) - allocs_between;
     laps[i] = seconds_since(start);
   }
   double wall = 0.0;
@@ -533,6 +573,8 @@ RequestFabricSample time_request_fabric(std::size_t shards,
           : 0.0;
   s.allocs_per_interval =
       static_cast<double>(allocs) / static_cast<double>(timed);
+  s.step_allocs_per_interval =
+      static_cast<double>(step_allocs) / static_cast<double>(timed);
   s.digest = digest;
   return s;
 }
@@ -668,21 +710,53 @@ std::optional<double> fabric_efficiency_1000(
 }
 
 /// Per-server scaling ratio from the 1e5 fabric (100 x 1000) to the 1e6
-/// fabric (1000 x 1000), both on hardware threads: ms_1e6 / (10 * ms_1e5).
-/// 1.0 is perfect linear scaling in fabric size; present only in --full
-/// runs, and gated as a ratio so it survives CI runners of any speed.
+/// fabric (1000 x 1000), both on the same resolved thread count (hardware
+/// threads for the 1e6 row): ms_1e6 / (10 * ms_1e5).  1.0 is perfect linear
+/// scaling in fabric size; present only in --full runs, and gated as a
+/// ratio so it survives CI runners of any speed.
 std::optional<double> fabric_scale_1e6(
     const std::vector<FabricSample>& fabrics) {
-  const FabricSample* small = nullptr;
   const FabricSample* big = nullptr;
   for (const auto& f : fabrics) {
-    if (f.shards == 100 && f.servers_per_shard == 1000) small = &f;
     if (f.shards == 1000 && f.servers_per_shard == 1000) big = &f;
   }
-  if (small == nullptr || big == nullptr || small->ms_per_interval <= 0.0) {
-    return std::nullopt;
+  if (big == nullptr) return std::nullopt;
+  for (const auto& f : fabrics) {
+    if (f.shards == 100 && f.servers_per_shard == 1000 &&
+        f.resolved_threads == big->resolved_threads &&
+        f.ms_per_interval > 0.0) {
+      return big->ms_per_interval / (10.0 * f.ms_per_interval);
+    }
   }
-  return big->ms_per_interval / (10.0 * small->ms_per_interval);
+  return std::nullopt;
+}
+
+/// Parallel efficiency of the 1e5 fabric (100 x 1000) at each thread count
+/// T > 1 of the sweep: t1 / (T * tT), where t1 is the same fabric stepped
+/// inline.  1.0 is perfect scaling; what falls short is the parallel
+/// phase's imbalance and dispatch cost plus the serial barrier.  Present
+/// only in runs that carry the 1e5 rows (not --ci / --tiny).
+std::vector<std::pair<std::size_t, double>> fabric_parallel_efficiency(
+    const std::vector<FabricSample>& fabrics) {
+  auto is_1e5 = [](const FabricSample& f) {
+    return f.shards == 100 && f.servers_per_shard == 1000;
+  };
+  const FabricSample* inline_row = nullptr;
+  for (const auto& f : fabrics) {
+    if (is_1e5(f) && f.resolved_threads == 1) inline_row = &f;
+  }
+  std::vector<std::pair<std::size_t, double>> out;
+  if (inline_row == nullptr) return out;
+  for (const auto& f : fabrics) {
+    if (!is_1e5(f) || f.resolved_threads <= 1 || f.ms_per_interval <= 0.0) {
+      continue;
+    }
+    out.emplace_back(f.resolved_threads,
+                     inline_row->ms_per_interval /
+                         (static_cast<double>(f.resolved_threads) *
+                          f.ms_per_interval));
+  }
+  return out;
 }
 
 std::string json_report(const std::vector<StepSample>& steps,
@@ -734,7 +808,8 @@ std::string json_report(const std::vector<StepSample>& steps,
         << f.shards * f.servers_per_shard << ", \"threads\": " << f.threads
         << ", \"resolved_threads\": " << f.resolved_threads
         << ", \"intervals\": " << f.intervals << ", \"ms_per_interval\": "
-        << f.ms_per_interval << "}" << (i + 1 < fabrics.size() ? "," : "")
+        << f.ms_per_interval << ", \"allocs_per_interval\": "
+        << f.allocs_per_interval << "}" << (i + 1 < fabrics.size() ? "," : "")
         << "\n";
   }
   out << "  ],\n";
@@ -765,14 +840,23 @@ std::string json_report(const std::vector<StepSample>& steps,
         << r.resolved_threads << ", \"intervals\": " << r.intervals
         << ", \"ms_per_interval\": " << r.ms_per_interval
         << ", \"completed_per_sec\": " << r.completed_per_sec
-        << ", \"allocs_per_interval\": " << r.allocs_per_interval << "}"
-        << (i + 1 < request_fabrics.size() ? "," : "") << "\n";
+        << ", \"allocs_per_interval\": " << r.allocs_per_interval
+        << ", \"step_allocs_per_interval\": " << r.step_allocs_per_interval
+        << "}" << (i + 1 < request_fabrics.size() ? "," : "") << "\n";
   }
   out << "  ],\n  \"request_fabric_determinism\": "
       << (request_fabric_deterministic(request_fabrics) ? "true" : "false")
       << ",\n";
   if (const auto scale = fabric_scale_1e6(fabrics); scale.has_value()) {
     out << "  \"fabric_scale_1e6\": " << *scale << ",\n";
+  }
+  if (const auto eff = fabric_parallel_efficiency(fabrics); !eff.empty()) {
+    out << "  \"fabric_parallel_efficiency\": {";
+    for (std::size_t i = 0; i < eff.size(); ++i) {
+      out << (i == 0 ? "" : ", ") << "\"" << eff[i].first
+          << "\": " << eff[i].second;
+    }
+    out << "},\n";
   }
   if (const auto eff = fabric_efficiency_1000(steps, fabrics);
       eff.has_value()) {
@@ -966,6 +1050,27 @@ int check_against_reference(const std::string& ref_path,
     }
   }
 
+  // Parallel efficiency gate, active only when this run measured the 1e5
+  // rows: at each thread count the recorded efficiency t1 / (T * tT) may
+  // not fall below half, i.e. the parallel phase keeps scaling.
+  for (const auto& [threads, eff] : fabric_parallel_efficiency(fabrics)) {
+    const auto expect = json_section_number(ref, "fabric_parallel_efficiency",
+                                            std::to_string(threads));
+    if (!expect.has_value()) continue;
+    const double gate = *expect / 2.0;
+    if (eff < gate) {
+      std::fprintf(stderr,
+                   "FAIL: fabric parallel efficiency at %zu threads "
+                   "regressed: measured %.2f, reference %.2f (gate %.2f)\n",
+                   threads, eff, *expect, gate);
+      ++failures;
+    } else {
+      std::printf("ok: fabric parallel efficiency at %zu threads %.2f "
+                  "(reference %.2f)\n",
+                  threads, eff, *expect);
+    }
+  }
+
   // Request-fabric determinism gate: the request plane advances on the
   // fabric's workers, so the run must replay bit-identically at every
   // thread count of the sweep (hard fail, no reference needed).
@@ -978,6 +1083,29 @@ int check_against_reference(const std::string& ref_path,
     std::printf("ok: request-driven fabric replay bit-identical at %zu "
                 "thread counts\n",
                 request_fabrics.size());
+  }
+
+  // Request-phase allocation gate: advancing the request plane must not
+  // allocate more per interval than recorded, at any thread count of the
+  // sweep -- the per-VM state is reused and the parallel phase dispatches
+  // without allocating, so extra threads may not add any.
+  const auto ref_phase_allocs =
+      json_number(ref, "request_phase_allocs_per_interval");
+  if (ref_phase_allocs.has_value()) {
+    for (const auto& r : request_fabrics) {
+      if (r.allocs_per_interval > *ref_phase_allocs) {
+        std::fprintf(stderr,
+                     "FAIL: the request phase allocates %.1f per interval at "
+                     "%zu threads (reference %.1f)\n",
+                     r.allocs_per_interval, r.resolved_threads,
+                     *ref_phase_allocs);
+        ++failures;
+      } else {
+        std::printf("ok: request phase allocs/interval %.1f at %zu "
+                    "threads\n",
+                    r.allocs_per_interval, r.resolved_threads);
+      }
+    }
   }
 
   // Request engine gate: arrival generation throughput must stay within 2x
@@ -1105,19 +1233,33 @@ int main(int argc, char** argv) {
   const std::size_t anchor_servers = tiny ? 10 : 100;
   std::printf("fabric step: 10 x %zu servers, 1 thread...\n", anchor_servers);
   std::fflush(stdout);
-  fabrics.push_back(time_fabric_step(10, anchor_servers, 1));
+  fabrics.push_back(time_fabric_steps(10, anchor_servers, {1},
+                                      intervals_for(10 * anchor_servers))
+                        .front());
   std::printf("  %.3f ms/interval\n", fabrics.back().ms_per_interval);
   if (!ci) {
-    // The fabric's scale point: 1e5 servers as 100 shards, stepped on
-    // hardware threads (0 = hardware concurrency).
-    std::printf("fabric step: 100 x 1000 servers, hardware threads...\n");
+    // The fabric's scale point: 1e5 servers as 100 shards, stepped inline
+    // and on 2 and 4 threads -- the parallel efficiency rows, interleaved
+    // and with more laps than the budget gives a 1e5 row, since their
+    // ratios are gated.
+    std::printf("fabric step: 100 x 1000 servers, 1 / 2 / 4 threads "
+                "interleaved...\n");
     std::fflush(stdout);
-    fabrics.push_back(time_fabric_step(100, 1000, 0));
-    std::printf("  %.3f ms/interval\n", fabrics.back().ms_per_interval);
+    for (const auto& f : time_fabric_steps(100, 1000, {1, 2, 4}, 21)) {
+      fabrics.push_back(f);
+      std::printf("  %zu thread(s): %.3f ms/interval, %.1f allocs/interval\n",
+                  f.resolved_threads, f.ms_per_interval, f.allocs_per_interval);
+    }
+    for (const auto& [threads, eff] : fabric_parallel_efficiency(fabrics)) {
+      std::printf("  parallel efficiency at %zu threads: %.2f\n", threads,
+                  eff);
+    }
     if (full) {
       std::printf("fabric step: 1000 x 1000 servers, hardware threads...\n");
       std::fflush(stdout);
-      fabrics.push_back(time_fabric_step(1000, 1000, 0));
+      fabrics.push_back(
+          time_fabric_steps(1000, 1000, {0}, intervals_for(1000 * 1000))
+              .front());
       std::printf("  %.3f ms/interval\n", fabrics.back().ms_per_interval);
     }
   }
@@ -1172,9 +1314,10 @@ int main(int argc, char** argv) {
         time_request_fabric(rf_shards, rf_servers, rf_rate, threads, rf_timed));
     const auto& r = request_fabrics.back();
     std::printf("  %.3f ms/interval, %.0f completed/s, %.1f allocs/interval "
-                "(%zu resolved threads)\n",
+                "in the request phase, %.1f in the step (%zu resolved "
+                "threads)\n",
                 r.ms_per_interval, r.completed_per_sec, r.allocs_per_interval,
-                r.resolved_threads);
+                r.step_allocs_per_interval, r.resolved_threads);
   }
   const bool request_determinism_ok =
       request_fabric_deterministic(request_fabrics);

@@ -30,6 +30,8 @@ Cluster::Cluster(ClusterConfig config)
   ECLB_ASSERT(config_.server_count > 0, "Cluster: need at least one server");
   ECLB_ASSERT(config_.initial_load_min <= config_.initial_load_max,
               "Cluster: invalid initial load range");
+  last_wake_interval_.assign(config_.server_count, kNeverInterval);
+  last_sleep_interval_.assign(config_.server_count, kNeverInterval);
   populate();
   membership_.form(servers_.size(), common::ServerId{0});
   index_ = std::make_unique<index::RegimeIndex>(
@@ -387,13 +389,12 @@ void Cluster::begin_wake_now(common::ServerId id) {
   auto& s = server_ref(id);
   const common::Seconds done = s.begin_wake(sim_.now());
   schedule_transition(id, done);
-  last_wake_interval_[id] = interval_index_;
+  last_wake_interval_[id.index()] = interval_index_;
   // Delayed/retried wakes count toward the flap metric exactly like
   // round-time wakes: the reversal happened regardless of the path.
-  const auto slept = last_sleep_interval_.find(id);
-  if (slept != last_sleep_interval_.end() &&
-      interval_index_ - slept->second <=
-          config_.hysteresis.flap_window_intervals) {
+  const std::size_t slept = last_sleep_interval_[id.index()];
+  if (slept != kNeverInterval &&
+      interval_index_ - slept <= config_.hysteresis.flap_window_intervals) {
     recorder_.wake_sleep_flap(id);
   }
   recorder_.wake_begun(id);

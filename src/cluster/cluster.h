@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -414,11 +415,16 @@ class Cluster {
   common::Joules energy_at_last_step_{};
   std::uint32_t next_vm_id_{0};
   std::uint32_t next_app_id_{0};
-  /// Interval index at which each server last began a wake (anti-thrash).
-  std::unordered_map<common::ServerId, std::size_t> last_wake_interval_;
+  /// "Never" in the per-server interval columns below.
+  static constexpr std::size_t kNeverInterval =
+      std::numeric_limits<std::size_t>::max();
+  /// Interval index at which each server last began a wake (anti-thrash),
+  /// indexed by ServerId; kNeverInterval until its first wake.
+  std::vector<std::size_t> last_wake_interval_;
   /// Interval index at which each server last began a deep sleep
-  /// (hysteresis dwell guard + the wake_sleep_flaps metric).
-  std::unordered_map<common::ServerId, std::size_t> last_sleep_interval_;
+  /// (hysteresis dwell guard + the wake_sleep_flaps metric), indexed by
+  /// ServerId; kNeverInterval until its first sleep.
+  std::vector<std::size_t> last_sleep_interval_;
 
   // --- fault-tolerance state ------------------------------------------------
 

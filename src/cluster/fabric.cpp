@@ -188,7 +188,7 @@ Fabric::Fabric(FabricConfig config) : config_(std::move(config)) {
     }
   }
   if (config_.threads != 1) {
-    pool_ = std::make_unique<common::ThreadPool>(config_.threads);
+    team_ = std::make_unique<common::ShardTeam>(config_.threads);
   }
 }
 
@@ -269,19 +269,11 @@ void Fabric::route_and_apply(FabricIntervalReport& report) {
   }
 }
 
-void Fabric::for_each_shard(const std::function<void(std::size_t)>& fn) {
-  if (pool_ != nullptr && shards_.size() > 1) {
-    pool_->parallel_for_static(shards_.size(), fn);
-  } else {
-    for (std::size_t i = 0; i < shards_.size(); ++i) fn(i);
-  }
-}
-
 FabricIntervalReport Fabric::step() {
   FabricIntervalReport report;
   report.clusters.resize(shards_.size());
-  // Each worker touches only shard i's kernel, outbox and report slot; the
-  // phase shares nothing mutable across indices.
+  // Whichever thread claims shard i touches only its kernel, outbox and
+  // report slot; the phase shares nothing mutable across indices.
   for_each_shard([this, &report](std::size_t i) {
     report.clusters[i] = shards_[i]->step();
   });

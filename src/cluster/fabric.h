@@ -4,7 +4,7 @@
 // cope with system complexity.  Clustering supports scalability, as the
 // number of systems increase we add new clusters."  A Fabric is a set of
 // independently led clusters -- *shards* -- each with its own leader, event
-// queue and regime index, stepped concurrently on ThreadPool workers under
+// queue and regime index, stepped concurrently by a common::ShardTeam under
 // conservative interval-barrier synchronization:
 //
 //   1. Parallel phase: every shard runs one reallocation round of interval T
@@ -33,7 +33,7 @@
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "common/thread_pool.h"
+#include "common/shard_team.h"
 
 namespace eclb::cluster {
 
@@ -47,8 +47,10 @@ struct FabricConfig {
   ClusterConfig cluster_template{};
   /// Route overflow demand to sibling shards (off = isolated clusters).
   bool inter_cluster_overflow{true};
-  /// Worker threads stepping the shards; 1 = step inline on the calling
-  /// thread, 0 = hardware concurrency.  Any value replays bit-identically.
+  /// Threads stepping the shards, the calling thread included (it works the
+  /// parallel phase beside threads - 1 workers); 1 = step inline on the
+  /// calling thread, 0 = hardware concurrency.  Any value replays
+  /// bit-identically.
   std::size_t threads{1};
 };
 
@@ -147,11 +149,12 @@ class Fabric {
 
   /// Total servers across the fabric.
   [[nodiscard]] std::size_t total_servers() const;
-  /// Worker threads the parallel phase actually uses: config threads with 0
-  /// resolved to hardware concurrency, 1 when stepping inline.  Benchmarks
-  /// report this per row so cross-machine comparisons are honest.
+  /// Threads the parallel phase actually runs on, the calling thread
+  /// included: config threads with 0 resolved to hardware concurrency, 1
+  /// when stepping inline.  Benchmarks report this per row so cross-machine
+  /// comparisons are honest.
   [[nodiscard]] std::size_t resolved_threads() const {
-    return pool_ != nullptr ? pool_->size() : 1;
+    return team_ != nullptr ? team_->size() : 1;
   }
   /// Sum of the per-shard coalesced-pipeline counters.  The flush kernels
   /// run inside the workers stepping each shard, so these also serve as the
@@ -169,12 +172,20 @@ class Fabric {
   [[nodiscard]] static std::uint64_t shard_seed(std::uint64_t base,
                                                 std::size_t shard);
 
-  /// The parallel phase: runs fn(i) for every shard i on the fabric's
-  /// workers (inline when stepping on one thread) and returns once all have
-  /// finished.  fn(i) must touch only shard i's state -- its cluster and
-  /// whatever per-shard companions the caller keeps (a request driver, say)
-  /// -- so the outcome cannot depend on the thread count.
-  void for_each_shard(const std::function<void(std::size_t)>& fn);
+  /// The parallel phase: runs fn(i) for every shard i on the fabric's team
+  /// (inline when stepping on one thread) and returns once all have
+  /// finished.  Shards are claimed by whichever thread gets to them first,
+  /// so fn(i) must touch only shard i's state -- its cluster and whatever
+  /// per-shard companions the caller keeps (a request driver, say) -- for
+  /// the outcome not to depend on the thread count or the claim order.
+  template <class Fn>
+  void for_each_shard(Fn&& fn) {
+    if (team_ != nullptr) {
+      team_->run(shards_.size(), fn);
+    } else {
+      for (std::size_t i = 0; i < shards_.size(); ++i) fn(i);
+    }
+  }
 
   /// Runs one conservative-barrier round: every shard steps interval T in
   /// parallel, then the super-leader resolves the overflow mailboxes in
@@ -196,13 +207,14 @@ class Fabric {
   FabricConfig config_;
   std::vector<std::unique_ptr<Cluster>> shards_;
   /// Outbox mailboxes, one per shard.  During the parallel phase shard i
-  /// appends only to outboxes_[i] from its own worker, so the phase is
-  /// race-free without locks; the barrier drains them all.
+  /// appends only to outboxes_[i], from whichever thread claimed it, so the
+  /// phase is race-free without locks; the barrier drains them all.
   std::vector<std::vector<OverflowRequest>> outboxes_;
-  /// Workers for the parallel phase; null when config_.threads == 1 (the
-  /// shards then step inline, which must produce identical results -- the
-  /// pool is an execution detail, never a semantic one).
-  std::unique_ptr<common::ThreadPool> pool_;
+  /// The threads of the parallel phase (threads - 1 workers plus the
+  /// caller); null when config_.threads == 1 (the shards then step inline,
+  /// which must produce identical results -- the team is an execution
+  /// detail, never a semantic one).
+  std::unique_ptr<common::ShardTeam> team_;
 };
 
 }  // namespace eclb::cluster

@@ -11,7 +11,16 @@
 // arbitration, invoked by other actions through ClusterView::request_wake.
 #pragma once
 
+#include <vector>
+
 #include "cluster/protocol/action.h"
+
+namespace eclb::server {
+class Server;
+}  // namespace eclb::server
+namespace eclb::vm {
+class Vm;
+}  // namespace eclb::vm
 
 namespace eclb::cluster::protocol {
 
@@ -53,6 +62,11 @@ class ShedOverloaded final : public ProtocolAction {
   [[nodiscard]] std::string_view name() const override { return "shed-overloaded"; }
   [[nodiscard]] bool enabled(const ClusterConfig& config) const override;
   void run(ClusterView& view) override;
+
+ private:
+  /// The shedding server's VMs, largest first; refilled for every send and
+  /// kept across rounds so a send allocates nothing once it has grown.
+  std::vector<const vm::Vm*> candidates_;
 };
 
 /// Even-distribution pass: above-center servers push their smallest VM to a
@@ -71,6 +85,11 @@ class DrainAndSleep final : public ProtocolAction {
   [[nodiscard]] std::string_view name() const override { return "drain-and-sleep"; }
   [[nodiscard]] bool enabled(const ClusterConfig& config) const override;
   void run(ClusterView& view) override;
+
+ private:
+  /// This round's R1 donors, least loaded first; kept across rounds so a
+  /// round allocates nothing once it has grown.
+  std::vector<server::Server*> donors_;
 };
 
 /// The leader's wake arbitration: wake the shallowest settled sleeper and

@@ -31,7 +31,7 @@ void DrainAndSleep::run(ClusterView& view) {
   // uphill target set than the one a failure was recorded against -- which
   // keeps the cache sound.
   double min_failed_demand = std::numeric_limits<double>::infinity();
-  std::vector<server::Server*> donors;
+  donors_.clear();
   // Donors are snapshotted (id order) before any migration, so the cursor
   // walk and the legacy full scan see the same fleet state.
   for (auto sid = view.next_in_regime(energy::Regime::kR1UndesirableLow,
@@ -53,13 +53,13 @@ void DrainAndSleep::run(ClusterView& view) {
                               s.thresholds().alpha_sopt_low) {
       continue;
     }
-    donors.push_back(&s);
+    donors_.push_back(&s);
   }
-  std::sort(donors.begin(), donors.end(),
+  std::sort(donors_.begin(), donors_.end(),
             [](const server::Server* a, const server::Server* b) {
               return a->load() < b->load();
             });
-  for (server::Server* donor : donors) {
+  for (server::Server* donor : donors_) {
     auto& s = *donor;
     std::size_t sends_left = config.max_sends_per_interval;
     while (sends_left > 0 && s.vm_count() > 0) {

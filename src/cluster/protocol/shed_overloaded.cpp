@@ -50,15 +50,14 @@ void ShedOverloaded::run(ClusterView& view) {
       while (sends_left > 0 && s.load() > s.thresholds().alpha_opt_high + kEps) {
         // Move the largest VM that still has a home elsewhere; big moves
         // need the fewest migrations to reach the optimal region.
-        std::vector<const vm::Vm*> candidates;
-        candidates.reserve(s.vm_count());
-        for (const auto& v : s.vms()) candidates.push_back(&v);
-        std::sort(candidates.begin(), candidates.end(),
+        candidates_.clear();
+        for (const auto& v : s.vms()) candidates_.push_back(&v);
+        std::sort(candidates_.begin(), candidates_.end(),
                   [](const vm::Vm* a, const vm::Vm* b) {
                     return a->demand() > b->demand();
                   });
         bool moved = false;
-        for (const vm::Vm* v : candidates) {
+        for (const vm::Vm* v : candidates_) {
           if (v->demand() >= min_failed_demand) continue;
           const auto target_id = view.find_target(
               v->demand(), s.id(), policy::PlacementTier::kStayOptimal);

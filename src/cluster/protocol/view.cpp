@@ -224,24 +224,24 @@ void ClusterView::begin_transition(server::Server& s, common::Seconds done) {
 
 std::optional<std::size_t> ClusterView::last_wake_interval(
     common::ServerId id) const {
-  const auto it = cluster_.last_wake_interval_.find(id);
-  if (it == cluster_.last_wake_interval_.end()) return std::nullopt;
-  return it->second;
+  const std::size_t at = cluster_.last_wake_interval_.at(id.index());
+  if (at == Cluster::kNeverInterval) return std::nullopt;
+  return at;
 }
 
 void ClusterView::note_wake(common::ServerId id) {
-  cluster_.last_wake_interval_[id] = cluster_.interval_index_;
+  cluster_.last_wake_interval_.at(id.index()) = cluster_.interval_index_;
 }
 
 std::optional<std::size_t> ClusterView::last_sleep_interval(
     common::ServerId id) const {
-  const auto it = cluster_.last_sleep_interval_.find(id);
-  if (it == cluster_.last_sleep_interval_.end()) return std::nullopt;
-  return it->second;
+  const std::size_t at = cluster_.last_sleep_interval_.at(id.index());
+  if (at == Cluster::kNeverInterval) return std::nullopt;
+  return at;
 }
 
 void ClusterView::note_sleep(common::ServerId id) {
-  cluster_.last_sleep_interval_[id] = cluster_.interval_index_;
+  cluster_.last_sleep_interval_.at(id.index()) = cluster_.interval_index_;
 }
 
 bool ClusterView::leader_available() const {

@@ -73,36 +73,4 @@ void ThreadPool::parallel_for(std::size_t n,
   if (first_error != nullptr) std::rethrow_exception(first_error);
 }
 
-void ThreadPool::parallel_for_static(
-    std::size_t n, const std::function<void(std::size_t)>& fn) {
-  ECLB_ASSERT(tls_worker_pool != this,
-              "parallel_for_static: re-entrant call from a worker thread "
-              "deadlocks");
-  if (n == 0) return;
-  const std::size_t chunks = std::min(n, workers_.size());
-  const std::size_t base = n / chunks;
-  const std::size_t extra = n % chunks;  // first `extra` chunks take one more
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  std::size_t begin = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t end = begin + base + (c < extra ? 1 : 0);
-    futures.push_back(submit([&fn, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-    }));
-    begin = end;
-  }
-  // Same drain-before-throw discipline as parallel_for: every chunk must
-  // finish before this frame (and `fn`) can unwind.
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (first_error == nullptr) first_error = std::current_exception();
-    }
-  }
-  if (first_error != nullptr) std::rethrow_exception(first_error);
-}
-
 }  // namespace eclb::common

@@ -55,16 +55,6 @@ class ThreadPool {
   /// one of the pool's own worker threads asserts (it would deadlock).
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  /// As parallel_for, but splits [0, n) into at most size() contiguous
-  /// chunks, one task each, instead of one task per index: cheaper when n is
-  /// large and per-index work is small (the fabric's per-shard steps).  The
-  /// partition is a pure function of (n, size()), so which indices share a
-  /// task is deterministic -- though tasks may still run on any worker in
-  /// any order, which is why callers must keep per-index work independent.
-  /// Same exception contract and re-entrancy assert as parallel_for.
-  void parallel_for_static(std::size_t n,
-                           const std::function<void(std::size_t)>& fn);
-
  private:
   void worker_loop();
 

@@ -55,7 +55,7 @@ class ClusterProbe final : public cluster::ClusterObserver {
   /// nullptr when `config` is inactive.  Traces land in per-shard files
   /// (shard_trace_file_path) so cross-shard attribution is unambiguous;
   /// metrics and profiler sinks are thread-safe and may be shared by every
-  /// shard's probe even when shards step on pool workers.
+  /// shard's probe even when shards step on the fabric's shard team.
   [[nodiscard]] static std::unique_ptr<ClusterProbe> make_shard(
       const ObsConfig& config, std::uint64_t seed, std::size_t shard);
 

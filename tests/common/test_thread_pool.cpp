@@ -146,47 +146,5 @@ TEST(ThreadPool, ParallelReductionMatchesSerial) {
   EXPECT_EQ(total, expected);
 }
 
-TEST(ThreadPool, ParallelForStaticCoversAllIndices) {
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
-    for (const std::size_t n :
-         {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{7},
-          std::size_t{64}}) {
-      ThreadPool pool(workers);
-      std::vector<std::atomic<int>> hits(n);
-      pool.parallel_for_static(n, [&hits](std::size_t i) { hits[i]++; });
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(hits[i].load(), 1) << "workers=" << workers << " n=" << n
-                                     << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST(ThreadPool, ParallelForStaticPropagatesException) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  EXPECT_THROW(
-      pool.parallel_for_static(8,
-                               [&ran](std::size_t i) {
-                                 ran++;
-                                 if (i == 3) throw std::runtime_error("boom");
-                               }),
-      std::runtime_error);
-  // Drain-before-rethrow: every index still ran.
-  EXPECT_EQ(ran.load(), 8);
-}
-
-TEST(ThreadPoolDeathTest, ReentrantParallelForStaticAsserts) {
-#ifndef NDEBUG
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
-  ThreadPool pool(2);
-  EXPECT_DEATH(
-      pool.submit([&pool] {
-            pool.parallel_for_static(1, [](std::size_t) {});
-          }).get(),
-      "re-entrant");
-#endif
-}
-
 }  // namespace
 }  // namespace eclb::common

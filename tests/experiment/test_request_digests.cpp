@@ -112,7 +112,7 @@ TEST(RequestDigests, FabricSessionAtAnyThreadCount) {
   const auto workload = parse_workload(
       "poisson:rate=60,mean=0.25;flash:rate=16,burst=5,on=120,off=500,"
       "mean=0.2;seed=14;drain=2;admit=tail-drop;cap=12");
-  for (const std::size_t threads : {1u, 2u, 8u}) {
+  for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
     cluster::FabricConfig fcfg;
     fcfg.shard_count = 4;
     fcfg.threads = threads;
